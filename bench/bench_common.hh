@@ -11,10 +11,6 @@
  * plus runner controls:
  *
  *   --jobs=N        worker threads (default: hardware concurrency)
- *   --sim-threads=N simulation threads per run under the threaded
- *                   kernel (TTA_SIM_KERNEL=threaded); 0 = auto. The
- *                   runner clamps --jobs so jobs x sim-threads never
- *                   oversubscribes the host (see EXPERIMENTS.md).
  *   --json=FILE     append one JSON record per run ("-" = stdout)
  *   --json-timing=0 omit wall_ms from the records, making them
  *                   byte-identical across --jobs settings
@@ -26,6 +22,9 @@
  *                   separate trace processes, and multi-job sweeps
  *                   additionally write FILE-derived per-job files.
  *                   Tracing also prints a stall-cause attribution table.
+ *
+ * Every bench parses its flags with a FlagSet: `--help` lists them and
+ * an unknown flag exits 64.
  *
  * Benches queue every simulation as a Sweep job, run the whole sweep
  * through the thread pool, then print their tables from the collected
@@ -40,7 +39,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -54,7 +52,6 @@
 #include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/runner.hh"
-#include "sim/ticked.hh"
 #include "sim/trace.hh"
 #include "workloads/btree_workload.hh"
 #include "workloads/nbody_workload.hh"
@@ -75,7 +72,6 @@ struct Args
     uint32_t res = 48;
     uint64_t seed = 7;
     uint64_t jobs = 0;       //!< runner threads; 0 = hardware concurrency
-    uint64_t simThreads = 0; //!< threaded-kernel threads per run; 0 = auto
     uint64_t jsonTiming = 1; //!< include wall_ms in JSON records
     uint64_t rebuildDevice = 0; //!< escape hatch: bypass WorkloadCache
     std::string json;        //!< JSON record sink; empty = off, "-" = stdout
@@ -101,85 +97,18 @@ struct Args
         }
     }
 
-    static Args
-    parse(int argc, char **argv)
-    {
-        Args args;
-        for (int i = 1; i < argc; ++i) {
-            // --trace takes either "--trace=SPEC" or "--trace SPEC".
-            if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-                args.setTraceSpec(argv[++i]);
-                continue;
-            }
-            if (std::strcmp(argv[i], "--rebuild-device") == 0) {
-                args.rebuildDevice = 1;
-                continue;
-            }
-            auto grab = [&](const char *name, auto &field) {
-                std::string prefix = std::string("--") + name + "=";
-                if (std::strncmp(argv[i], prefix.c_str(),
-                                 prefix.size()) == 0) {
-                    field = std::strtoull(argv[i] + prefix.size(),
-                                          nullptr, 10);
-                    return true;
-                }
-                return false;
-            };
-            auto grabStr = [&](const char *name, std::string &field) {
-                std::string prefix = std::string("--") + name + "=";
-                if (std::strncmp(argv[i], prefix.c_str(),
-                                 prefix.size()) == 0) {
-                    field = argv[i] + prefix.size();
-                    return true;
-                }
-                return false;
-            };
-            std::string trace_spec;
-            bool ok = grab("keys", args.keys) ||
-                      grab("queries", args.queries) ||
-                      grab("bodies", args.bodies) ||
-                      grab("points", args.points) ||
-                      grab("res", args.res) || grab("seed", args.seed) ||
-                      grab("jobs", args.jobs) ||
-                      grab("sim-threads", args.simThreads) ||
-                      grab("json-timing", args.jsonTiming) ||
-                      grab("rebuild-device", args.rebuildDevice) ||
-                      grabStr("json", args.json);
-            if (!ok && grabStr("trace", trace_spec)) {
-                args.setTraceSpec(trace_spec);
-                ok = true;
-            }
-            if (!ok)
-                std::fprintf(stderr, "ignoring unknown flag %s\n",
-                             argv[i]);
-        }
-        args.applyDefaults();
-        return args;
-    }
-
-    /** Apply process-wide side effects of the parsed flags. One place
-     *  covers all benches: the threaded kernel reads the process
-     *  default when each run's Simulator is built. Called by parse();
-     *  FlagSet-based benches call it after FlagSet::parse(). */
-    void
-    applyDefaults() const
-    {
-        if (simThreads != 0) {
-            sim::Simulator::setDefaultSimThreads(
-                static_cast<unsigned>(simThreads));
-        }
-    }
+    /** Parse the shared flags (registerCommonFlags) strictly: --help
+     *  lists them and exits 0, anything else exits 64. */
+    static Args parse(int argc, char **argv);
 };
 
 /**
- * Registration-based CLI parser for the strict benches (bench_service,
- * bench_speed): every accepted flag is registered once with its help
- * line, `--help` is generated from the registrations (so it can never
- * drift from the accepted flags again), and unknown flags exit 64 —
- * the usage exit code shared by both binaries.
+ * Registration-based CLI parser shared by every bench: each accepted
+ * flag is registered once with its help line, `--help` is generated
+ * from the registrations (so it can never drift from the accepted
+ * flags), and unknown flags exit 64, the usage exit code.
  *
- * Value flags accept both `--name=V` and `--name V`. The older benches
- * keep the permissive Args::parse (warn on unknown) unchanged.
+ * Value flags accept both `--name=V` and `--name V`.
  */
 class FlagSet
 {
@@ -376,9 +305,8 @@ class FlagSet
 };
 
 /**
- * Register the shared workload/runner flags (the ones Args::parse
- * accepts) on a FlagSet, so strict benches keep one source of truth
- * for the common surface. Call args.applyDefaults() after parse().
+ * Register the shared workload/runner flags on a FlagSet, so every
+ * bench keeps one source of truth for the common surface.
  */
 inline void
 registerCommonFlags(FlagSet &fs, Args &args)
@@ -391,8 +319,6 @@ registerCommonFlags(FlagSet &fs, Args &args)
     fs.number("seed", args.seed, "workload RNG seed");
     fs.number("jobs", args.jobs,
               "runner threads (0 = hardware concurrency)");
-    fs.number("sim-threads", args.simThreads,
-              "threaded-kernel threads per run (0 = auto)");
     fs.str("json", args.json,
            "append one JSON record per run ('-' = stdout)");
     fs.number("json-timing", args.jsonTiming,
@@ -401,6 +327,16 @@ registerCommonFlags(FlagSet &fs, Args &args)
               "bypass the WorkloadCache");
     fs.custom("trace", true, "Chrome-trace output FILE[:mask]",
               [&args](const std::string &v) { args.setTraceSpec(v); });
+}
+
+inline Args
+Args::parse(int argc, char **argv)
+{
+    Args args;
+    FlagSet fs(argv[0], "");
+    registerCommonFlags(fs, args);
+    fs.parse(argc, argv);
+    return args;
 }
 
 inline sim::Config
@@ -435,8 +371,9 @@ geomean(const std::vector<double> &xs)
  * deep copy of the cached prototype. Each run still constructs its own
  * device and stat registry — only the host-side build (tree
  * construction, reference query evaluation) is shared — so results are
- * bit-identical to rebuilding from scratch; tests/test_regression.cc
- * proves it and `--rebuild-device` bypasses the cache entirely.
+ * bit-identical to rebuilding from scratch; the WorkloadCacheIdentity
+ * tests in tests/test_service.cc prove it and `--rebuild-device`
+ * bypasses the cache entirely.
  *
  * Thread-safe: concurrent pool jobs asking for the same key build it
  * once (the others block until the prototype is ready); distinct keys

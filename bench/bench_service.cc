@@ -34,10 +34,9 @@
  *   --sched=NAME           scheduling policy lld|size|affinity|steal|
  *                          full (service/scheduler.hh); default lld,
  *                          or the TTA_SCHED env var (the flag wins)
- *   --check-determinism    re-run every scenario (a) unchanged, (b)
- *                          under the threaded kernel with 2 sim
- *                          threads, (c) with --serial-staging toggled,
- *                          and require batch logs (global + per
+ *   --check-determinism    re-run every scenario (a) unchanged and
+ *                          (b) with --serial-staging toggled, and
+ *                          require batch logs (global + per
  *                          device), the scheduler steal log, latency
  *                          histograms and the exact per-device
  *                          histogram merge to be bit-identical; exits
@@ -820,14 +819,12 @@ main(int argc, char **argv)
     fs.flag("serial-staging", sargs.serialStaging,
             "single-threaded host staging (bit-identical)");
     fs.flag("check-determinism", sargs.checkDeterminism,
-            "replay rerun/threaded-2/staging-flip; exit 2 on "
-            "divergence");
+            "replay rerun/staging-flip; exit 2 on divergence");
     fs.real("check-overload-scaling", sargs.overloadScale,
             "overload study: require d4 >= X times d1; exit 6");
     fs.real("check-sched-gain", sargs.schedGain,
             "sched study: require full >= X times lld at d4; exit 7");
     fs.parse(argc, argv);
-    args.applyDefaults();
 
     if (!sargs.schedName.empty()) {
         if (!parseSchedPolicy(sargs.schedName, sargs.sched)) {
@@ -985,28 +982,21 @@ main(int argc, char **argv)
         return rc;
 
     if (sargs.checkDeterminism) {
-        // Replay every scenario three ways: identical rerun, threaded
-        // kernel (2 simulation threads), and the opposite staging mode.
-        // Admission decisions, batch composition (global and per
-        // device), and all latency histograms must be bit-identical.
+        // Replay every scenario twice: identical rerun and the opposite
+        // staging mode. Admission decisions, batch composition (global
+        // and per device), and all latency histograms must be
+        // bit-identical.
         struct Pass
         {
             const char *name;
-            bool threaded;
             bool flipStaging;
         };
         const Pass kPasses[] = {
-            {"rerun", false, false},
-            {"threaded/2", true, false},
-            {"staging-flip", false, true},
+            {"rerun", false},
+            {"staging-flip", true},
         };
         for (const Pass &pass : kPasses) {
             std::printf("\nDeterminism cross-check (%s):\n", pass.name);
-            if (pass.threaded) {
-                sim::Simulator::setDefaultKernel(
-                    sim::Simulator::Kernel::Threaded);
-                sim::Simulator::setDefaultSimThreads(2);
-            }
             for (size_t i = 0; i < selected.size(); ++i) {
                 sim::StatRegistry stats;
                 ScenarioRun run = toRun(*selected[i], sargs);
@@ -1022,10 +1012,6 @@ main(int argc, char **argv)
                             same ? "bit-identical" : "DIVERGED");
                 if (!same)
                     rc = 2;
-            }
-            if (pass.threaded) {
-                sim::Simulator::resetDefaultKernel();
-                sim::Simulator::resetDefaultSimThreads();
             }
         }
         if (rc)

@@ -3,30 +3,18 @@
  * Simulator-speed harness across kernels (BENCH_*.json).
  *
  * Runs a representative workload mix under the polling reference
- * kernel, the event-driven kernel, and the threaded kernel at each
- * requested thread count, timing each run and reading the scheduler
- * telemetry (processed vs skipped cycles). Every kernel and thread
- * count must agree on every simulated cycle count (the bench aborts
- * otherwise: this doubles as a cross-kernel equivalence check), so the
- * wall-clock ratios are pure simulator-speed measurements, not model
- * changes.
+ * kernel and the event-driven kernel, timing each run and reading the
+ * scheduler telemetry (processed vs skipped cycles). Both kernels must
+ * agree on every simulated cycle count (the bench aborts otherwise:
+ * this doubles as a cross-kernel equivalence check), so the wall-clock
+ * ratios are pure simulator-speed measurements, not model changes.
  *
  *   --keys/--queries/--bodies/--points/--seed   workload sizes
  *   --bench=SUBSTR              only run benches whose name contains
  *                               SUBSTR (e.g. --bench=rtnn/tta)
- *   --sim-threads=LIST          comma-separated thread counts for the
- *                               threaded kernel (default "0" = auto);
- *                               e.g. --sim-threads=1,2,4,8
- *   --sim-epoch=LIST            comma-separated epoch sizes for the
- *                               threaded kernel (default "0" = auto:
- *                               the machine model's limit); every
- *                               (threads, epoch) pair is timed
  *   --json=FILE                 write the report as JSON ("-" = stdout)
  *   --check-skip-fraction=PCT   fail unless the event kernel skipped
  *                               at least PCT% of cycles (CI perf smoke)
- *   --check-threaded-speedup=X  fail unless the best threaded
- *                               configuration reaches X times the event
- *                               kernel's wall clock (CI perf smoke)
  *   --check-wide-speedup=X      fail unless every gated wide/* config
  *                               (raytrace, rtnn) reaches X times the
  *                               scalar tree's wall clock. Auto-skipped
@@ -43,14 +31,13 @@
  * correctness break from a performance regression:
  *   2  cross-kernel cycle mismatch or wide-vs-scalar result divergence
  *      (correctness: the offending bench and configuration are printed)
- *   3  --check-threaded-speedup unmet (performance gate)
  *   4  --check-skip-fraction unmet (performance gate)
  *   5  --check-wide-speedup unmet (performance gate)
  *   64 usage error (bad flag or list syntax)
  *   1  I/O error (e.g. unwritable --json path)
  *
  * scripts/record_bench.sh wraps this binary into the committed
- * BENCH_4.json / BENCH_5.json / BENCH_6.json / BENCH_7.json.
+ * BENCH_4.json / BENCH_7.json.
  */
 
 #include <algorithm>
@@ -85,7 +72,6 @@ namespace {
 
 // Distinct exit codes; see the file comment.
 constexpr int kExitCycleMismatch = 2;
-constexpr int kExitSpeedupGate = 3;
 constexpr int kExitSkipGate = 4;
 constexpr int kExitWideGate = 5;
 // Usage errors exit 64 via bench::FlagSet::kExitUsage.
@@ -99,11 +85,8 @@ struct SpeedArgs
     uint64_t seed = 7;
     std::string json;
     std::string benchFilter; // substring match; empty = all
-    std::vector<unsigned> simThreads = {0}; // threaded-kernel sweep
-    std::vector<unsigned> simEpochs = {0};  // epoch-size sweep
-    double checkSkipFraction = -1.0;    // percent; <0 = no check
-    double checkThreadedSpeedup = -1.0; // ratio; <0 = no check
-    double checkWideSpeedup = -1.0;     // ratio; <0 = no check
+    double checkSkipFraction = -1.0; // percent; <0 = no check
+    double checkWideSpeedup = -1.0;  // ratio; <0 = no check
 };
 
 SpeedArgs
@@ -112,7 +95,7 @@ parseArgs(int argc, char **argv)
     SpeedArgs args;
     bench::FlagSet fs(argv[0],
                       "simulator-speed harness across kernels "
-                      "(BENCH_4/5/6/7); see bench/bench_speed.cc");
+                      "(BENCH_4/7); see bench/bench_speed.cc");
     fs.number("keys", args.keys, "B-Tree key count");
     fs.number("queries", args.queries, "queries per workload");
     fs.number("bodies", args.bodies, "n-body population");
@@ -121,14 +104,8 @@ parseArgs(int argc, char **argv)
     fs.str("json", args.json, "write the report as JSON ('-' = stdout)");
     fs.str("bench", args.benchFilter,
            "only run benches whose name contains SUBSTR");
-    fs.list("sim-threads", args.simThreads,
-            "comma-separated threaded-kernel thread counts (0 = auto)");
-    fs.list("sim-epoch", args.simEpochs,
-            "comma-separated epoch sizes (0 = auto)");
     fs.real("check-skip-fraction", args.checkSkipFraction,
             "fail (exit 4) unless the event kernel skipped >= PCT%");
-    fs.real("check-threaded-speedup", args.checkThreadedSpeedup,
-            "fail (exit 3) unless best threaded >= X times event");
     fs.real("check-wide-speedup", args.checkWideSpeedup,
             "fail (exit 5) unless gated wide configs reach X times "
             "scalar (auto-skip on the scalar SIMD backend)");
@@ -147,8 +124,6 @@ struct RunResult
 {
     std::string bench;
     const char *kernel;
-    unsigned simThreads = 0; //!< threaded kernel only; 0 elsewhere
-    unsigned simEpoch = 0;   //!< threaded kernel only; 0 = auto
     uint64_t cycles = 0;
     double wallSeconds = 0.0;
     double cyclesPerSec = 0.0;
@@ -156,14 +131,9 @@ struct RunResult
 };
 
 RunResult
-timeOne(const Bench &bench, sim::Simulator::Kernel kernel,
-        unsigned sim_threads = 0, unsigned sim_epoch = 0)
+timeOne(const Bench &bench, sim::Simulator::Kernel kernel)
 {
     sim::Simulator::setDefaultKernel(kernel);
-    if (kernel == sim::Simulator::Kernel::Threaded) {
-        sim::Simulator::setDefaultSimThreads(sim_threads);
-        sim::Simulator::setDefaultSimEpoch(sim_epoch);
-    }
     sim::SchedulerTelemetry::reset();
     sim::Config cfg;
     cfg.accelMode = bench.mode;
@@ -172,26 +142,11 @@ timeOne(const Bench &bench, sim::Simulator::Kernel kernel,
     RunMetrics m = bench.fn(cfg, stats);
     auto stop = std::chrono::steady_clock::now();
     sim::Simulator::resetDefaultKernel();
-    sim::Simulator::resetDefaultSimThreads();
-    sim::Simulator::resetDefaultSimEpoch();
 
     RunResult r;
     r.bench = bench.name;
-    switch (kernel) {
-      case sim::Simulator::Kernel::Polling:
-        r.kernel = "polling";
-        break;
-      case sim::Simulator::Kernel::EventDriven:
-        r.kernel = "event";
-        break;
-      case sim::Simulator::Kernel::Threaded:
-        r.kernel = "threaded";
-        break;
-    }
-    r.simThreads =
-        kernel == sim::Simulator::Kernel::Threaded ? sim_threads : 0;
-    r.simEpoch =
-        kernel == sim::Simulator::Kernel::Threaded ? sim_epoch : 0;
+    r.kernel =
+        kernel == sim::Simulator::Kernel::Polling ? "polling" : "event";
     r.cycles = m.cycles;
     r.wallSeconds = std::chrono::duration<double>(stop - start).count();
     uint64_t processed = sim::SchedulerTelemetry::cyclesTicked();
@@ -396,8 +351,7 @@ wideRtree(const SpeedArgs &args)
 void
 writeJson(std::ostream &os, const std::vector<RunResult> &runs,
           const std::vector<WideResult> &wide, double speedup,
-          double threaded_speedup, double event_skipped,
-          double wide_speedup)
+          double event_skipped, double wide_speedup)
 {
     os << "{\n  \"bench\": \"bench_speed\",\n  \"simd_backend\": \""
        << geom::simdBackendName() << "\",\n  \"runs\": [\n";
@@ -406,11 +360,10 @@ writeJson(std::ostream &os, const std::vector<RunResult> &runs,
         char buf[320];
         std::snprintf(buf, sizeof(buf),
                       "    {\"bench\": \"%s\", \"kernel\": \"%s\", "
-                      "\"sim_threads\": %u, \"sim_epoch\": %u, "
                       "\"cycles\": %llu, \"wall_s\": %.4f, "
                       "\"cycles_per_sec\": %.0f, "
                       "\"skipped_cycle_fraction\": %.4f}",
-                      r.bench.c_str(), r.kernel, r.simThreads, r.simEpoch,
+                      r.bench.c_str(), r.kernel,
                       static_cast<unsigned long long>(r.cycles),
                       r.wallSeconds, r.cyclesPerSec, r.skippedFraction);
         os << buf << (i + 1 < runs.size() ? ",\n" : "\n");
@@ -432,10 +385,9 @@ writeJson(std::ostream &os, const std::vector<RunResult> &runs,
     char buf[280];
     std::snprintf(buf, sizeof(buf),
                   "  ],\n  \"summary\": {\"wall_clock_speedup\": %.2f, "
-                  "\"threaded_vs_event_speedup\": %.2f, "
                   "\"event_skipped_cycle_fraction\": %.4f, "
                   "\"wide_vs_scalar_speedup\": %.2f}\n}\n",
-                  speedup, threaded_speedup, event_skipped, wide_speedup);
+                  speedup, event_skipped, wide_speedup);
     os << buf;
 }
 
@@ -490,41 +442,17 @@ main(int argc, char **argv)
 
     std::vector<RunResult> runs;
     double wall_polling = 0.0, wall_event = 0.0;
-    // Per-(thread count, epoch size) threaded wall clock, flattened
-    // threads-major like the sweep loop below.
-    const size_t n_pairs = args.simThreads.size() * args.simEpochs.size();
-    std::vector<double> wall_threaded(n_pairs, 0.0);
     uint64_t skipped_total = 0, cycle_total = 0;
     bool mismatch = false;
     std::printf("%-16s %10s %12s %10s %14s %9s\n", "bench", "kernel",
                 "cycles", "wall_s", "cycles/sec", "skipped");
     auto report = [&](const RunResult &r) {
-        char kernel[32];
-        if (r.kernel == std::string("threaded")) {
-            std::snprintf(kernel, sizeof(kernel), "thr/%u/k%u",
-                          r.simThreads, r.simEpoch);
-        } else {
-            std::snprintf(kernel, sizeof(kernel), "%s", r.kernel);
-        }
         std::printf("%-16s %10s %12llu %10.3f %14.0f %8.1f%%\n",
-                    r.bench.c_str(), kernel,
+                    r.bench.c_str(), r.kernel,
                     static_cast<unsigned long long>(r.cycles),
                     r.wallSeconds, r.cyclesPerSec,
                     100.0 * r.skippedFraction);
         runs.push_back(r);
-    };
-    auto checkCycles = [&](const RunResult &ref, const RunResult &r) {
-        if (ref.cycles == r.cycles)
-            return;
-        std::fprintf(stderr,
-                     "FAIL: %s simulated %llu cycles under %s but %llu "
-                     "under %s (sim_threads=%u, sim_epoch=%u)\n",
-                     r.bench.c_str(),
-                     static_cast<unsigned long long>(ref.cycles),
-                     ref.kernel,
-                     static_cast<unsigned long long>(r.cycles), r.kernel,
-                     r.simThreads, r.simEpoch);
-        mismatch = true;
     };
     for (const Bench &bench : benches) {
         if (!args.benchFilter.empty() &&
@@ -536,17 +464,14 @@ main(int argc, char **argv)
             timeOne(bench, sim::Simulator::Kernel::EventDriven);
         report(polling);
         report(event);
-        checkCycles(polling, event);
-        for (size_t ti = 0; ti < args.simThreads.size(); ++ti) {
-            for (size_t ei = 0; ei < args.simEpochs.size(); ++ei) {
-                RunResult threaded = timeOne(
-                    bench, sim::Simulator::Kernel::Threaded,
-                    args.simThreads[ti], args.simEpochs[ei]);
-                report(threaded);
-                checkCycles(event, threaded);
-                wall_threaded[ti * args.simEpochs.size() + ei] +=
-                    threaded.wallSeconds;
-            }
+        if (polling.cycles != event.cycles) {
+            std::fprintf(stderr,
+                         "FAIL: %s simulated %llu cycles under polling "
+                         "but %llu under event\n",
+                         bench.name.c_str(),
+                         static_cast<unsigned long long>(polling.cycles),
+                         static_cast<unsigned long long>(event.cycles));
+            mismatch = true;
         }
         wall_polling += polling.wallSeconds;
         wall_event += event.wallSeconds;
@@ -599,17 +524,6 @@ main(int argc, char **argv)
     }
 
     double speedup = wall_event > 0.0 ? wall_polling / wall_event : 0.0;
-    double best_threaded = 0.0;
-    for (size_t ti = 0; ti < args.simThreads.size(); ++ti) {
-        for (size_t ei = 0; ei < args.simEpochs.size(); ++ei) {
-            double w = wall_threaded[ti * args.simEpochs.size() + ei];
-            double s = w > 0.0 ? wall_event / w : 0.0;
-            std::printf("threaded speedup vs event (sim-threads=%u, "
-                        "sim-epoch=%u): %.2fx\n",
-                        args.simThreads[ti], args.simEpochs[ei], s);
-            best_threaded = std::max(best_threaded, s);
-        }
-    }
     double event_skipped =
         cycle_total ? static_cast<double>(skipped_total) / cycle_total
                     : 0.0;
@@ -631,8 +545,8 @@ main(int argc, char **argv)
 
     if (!args.json.empty()) {
         if (args.json == "-") {
-            writeJson(std::cout, runs, wide, speedup, best_threaded,
-                      event_skipped, wide_speedup);
+            writeJson(std::cout, runs, wide, speedup, event_skipped,
+                      wide_speedup);
         } else {
             std::ofstream os(args.json);
             if (!os) {
@@ -640,8 +554,8 @@ main(int argc, char **argv)
                              args.json.c_str());
                 return 1;
             }
-            writeJson(os, runs, wide, speedup, best_threaded,
-                      event_skipped, wide_speedup);
+            writeJson(os, runs, wide, speedup, event_skipped,
+                      wide_speedup);
         }
     }
 
@@ -652,15 +566,6 @@ main(int argc, char **argv)
                      "(required >= %.1f%%)\n",
                      100.0 * event_skipped, args.checkSkipFraction);
         return kExitSkipGate;
-    }
-    if (args.checkThreadedSpeedup >= 0.0 &&
-        best_threaded < args.checkThreadedSpeedup) {
-        std::fprintf(stderr,
-                     "FAIL: best threaded speedup vs event is %.2fx "
-                     "(required >= %.2fx; swept sim-threads x sim-epoch "
-                     "pairs are listed above)\n",
-                     best_threaded, args.checkThreadedSpeedup);
-        return kExitSpeedupGate;
     }
     if (args.checkWideSpeedup >= 0.0) {
         if (std::strcmp(geom::simdBackendName(), "scalar") == 0) {

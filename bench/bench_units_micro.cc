@@ -127,4 +127,15 @@ BM_ExperimentRunner(benchmark::State &state)
 }
 BENCHMARK(BM_ExperimentRunner)->Arg(1)->Arg(2)->Arg(4);
 
-BENCHMARK_MAIN();
+// Like BENCHMARK_MAIN(), but an unknown flag exits 64, the usage exit
+// code every other bench uses.
+int
+main(int argc, char **argv)
+{
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 64;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

@@ -1,28 +1,13 @@
 #!/usr/bin/env bash
-# Record simulator-speed benchmarks into BENCH_4.json, BENCH_5.json and
-# BENCH_6.json.
+# Record the benchmark sections BENCH_4 and BENCH_7-BENCH_10.
 #
 # BENCH_4: runs bench_speed (every workload under both serial kernels,
 # verifying the simulated cycle counts match) and times a serial
 # bench_fig12_speedup sweep under the polling and event kernels.
 #
-# BENCH_5: sweeps the threaded kernel across thread counts
-# (BENCH5_SIM_THREADS, default 1,2,4,8) on the four largest bench_speed
-# configs plus one deliberately small config (where the barrier overhead
-# is at its worst relative to the work), recording threaded-vs-event
-# wall-clock ratios per thread count. The recording host's core count is
-# stored alongside the numbers: ratios measured with fewer host cores
-# than simulation threads measure scheduling overhead, not speedup, and
-# the report says so.
-#
-# BENCH_6: sweeps the threaded kernel across thread counts x epoch sizes
-# (BENCH6_SIM_EPOCHS, default 1,20,64; 1 = the BENCH_5-era per-cycle
-# barrier) on the two largest configs, recording threaded-vs-event
-# wall-clock ratios per (threads, epoch) pair. On a single-core host the
-# speedup section is REFUSED: only raw wall times are recorded, because
-# "threaded vs event" on one core measures barrier overhead under
-# time-sharing, not parallel speedup — exactly the misreading the
-# original BENCH_5 numbers invited.
+# BENCH_5 and BENCH_6 recorded a threaded simulation kernel that has
+# since been deleted; the committed BENCH_5.json and BENCH_6.json stay
+# as history and are no longer re-recorded.
 #
 # BENCH_7: the wide-SoA functional section of bench_speed (scalar binary
 # trees vs the 4/8-wide SoA layouts on the batched SIMD kernels, with
@@ -37,9 +22,9 @@
 # cancels) at a million arrivals each, recording sustained throughput
 # and p50/p99/p999 latency in simulated cycles and microseconds. The
 # run includes bench_service's own determinism cross-check: every
-# scenario is replayed under the threaded kernel and the batch log +
-# latency histograms must be bit-identical (the bench exits 2
-# otherwise, failing the recording).
+# scenario is replayed unchanged and with the staging mode flipped, and
+# the batch log + latency histograms must be bit-identical (the bench
+# exits 2 otherwise, failing the recording).
 #
 # BENCH_9: the multi-device open-loop overload study (bench_service
 # --bench=overload): per device count {1, 2, 4}, a closed-loop probe
@@ -61,11 +46,10 @@
 # 1.15x lld saturated throughput at 4 devices with p99 not regressed
 # (exit 7); throughput is simulated cycles, host-independent.
 #
-# Usage: scripts/record_bench.sh [build-dir] [bench4-out] [bench5-out] \
-#            [bench6-out] [bench7-out] [bench8-out] [bench9-out] \
-#            [bench10-out]
+# Usage: scripts/record_bench.sh [build-dir] [bench4-out] [bench7-out] \
+#            [bench8-out] [bench9-out] [bench10-out]
 #
-# RECORD_SECTIONS=4,5,6,7,8,9,10 (default: all) picks which BENCH_N
+# RECORD_SECTIONS=4,7,8,9,10 (default: all) picks which BENCH_N
 # sections run — e.g. RECORD_SECTIONS=9 records only the overload
 # study.
 #
@@ -79,16 +63,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD=${1:-build}
 OUT=${2:-BENCH_4.json}
-OUT5=${3:-BENCH_5.json}
-OUT6=${4:-BENCH_6.json}
-OUT7=${5:-BENCH_7.json}
-OUT8=${6:-BENCH_8.json}
-OUT9=${7:-BENCH_9.json}
-OUT10=${8:-BENCH_10.json}
+OUT7=${3:-BENCH_7.json}
+OUT8=${4:-BENCH_8.json}
+OUT9=${5:-BENCH_9.json}
+OUT10=${6:-BENCH_10.json}
 PRE=${PRE_REFACTOR_POLLING_WALL_S:-110.9}
-THREADS=${BENCH5_SIM_THREADS:-1,2,4,8}
-EPOCHS=${BENCH6_SIM_EPOCHS:-1,20,64}
-SECTIONS=${RECORD_SECTIONS:-4,5,6,7,8,9,10}
+SECTIONS=${RECORD_SECTIONS:-4,7,8,9,10}
 HOST_CORES=$(nproc)
 
 # want N: is section BENCH_N selected?
@@ -100,10 +80,8 @@ want() {
 }
 
 SPEED_JSON=$(mktemp)
-BENCH5_DIR=$(mktemp -d)
-BENCH6_DIR= BENCH7_DIR= BENCH8_DIR= BENCH9_DIR= BENCH10_DIR=
-trap 'rm -rf "$SPEED_JSON" "$BENCH5_DIR" \
-    ${BENCH6_DIR:+"$BENCH6_DIR"} ${BENCH7_DIR:+"$BENCH7_DIR"} \
+BENCH7_DIR= BENCH8_DIR= BENCH9_DIR= BENCH10_DIR=
+trap 'rm -rf "$SPEED_JSON" ${BENCH7_DIR:+"$BENCH7_DIR"} \
     ${BENCH8_DIR:+"$BENCH8_DIR"} ${BENCH9_DIR:+"$BENCH9_DIR"} \
     ${BENCH10_DIR:+"$BENCH10_DIR"}' EXIT
 
@@ -158,222 +136,6 @@ print(f"wrote {out}: fig12 {pre:.1f}s -> {event:.1f}s "
 EOF
 
 fi # want 4
-
-# ---------------------------------------------------------------------
-# BENCH_5: threaded kernel vs event kernel across thread counts.
-# ---------------------------------------------------------------------
-
-if want 5; then
-
-# The four largest bench_speed configs at their default sizes; every run
-# re-verifies cycle equality across kernels and thread counts.
-LARGE_CONFIGS="btree/base btree/tta nbody3d/fused rtnn/tta"
-i=0
-for cfg in $LARGE_CONFIGS; do
-    echo "== bench_speed, $cfg, threaded sweep (sim-threads=$THREADS) =="
-    "$BUILD"/bench/bench_speed --bench="$cfg" --sim-threads="$THREADS" \
-        --json="$BENCH5_DIR/large_$i.json"
-    i=$((i + 1))
-done
-
-# The smallest config: few queries, short run — the cycle barrier has the
-# least work to amortize against, so this is where a regression vs the
-# event kernel would show first.
-echo "== bench_speed, smallest config, threaded sweep =="
-"$BUILD"/bench/bench_speed --bench=btree/tta --keys=2000 --queries=256 \
-    --sim-threads="$THREADS" --json="$BENCH5_DIR/small.json"
-
-python3 - "$BENCH5_DIR" "$OUT5" "$HOST_CORES" "$THREADS" <<'EOF'
-import glob
-import json
-import os
-import sys
-
-bench_dir, out, host_cores, threads = sys.argv[1:5]
-host_cores = int(host_cores)
-thread_list = [int(t) for t in threads.split(",")]
-
-def ratios(path):
-    """Per-config event wall and threaded wall per thread count."""
-    doc = json.load(open(path))
-    runs = doc["runs"]
-    by_bench = {}
-    for r in runs:
-        entry = by_bench.setdefault(r["bench"], {"threaded": {}})
-        if r["kernel"] == "event":
-            entry["event_wall_s"] = r["wall_s"]
-        elif r["kernel"] == "threaded":
-            entry["threaded"][r["sim_threads"]] = r["wall_s"]
-    for entry in by_bench.values():
-        ev = entry["event_wall_s"]
-        entry["threaded_vs_event_speedup"] = {
-            str(t): round(ev / w, 3) if w > 0 else 0.0
-            for t, w in sorted(entry["threaded"].items())
-        }
-        entry["threaded_wall_s"] = {
-            str(t): w for t, w in sorted(entry["threaded"].items())
-        }
-        del entry["threaded"]
-    return by_bench
-
-large = {}
-for path in sorted(glob.glob(os.path.join(bench_dir, "large_*.json"))):
-    large.update(ratios(path))
-small = ratios(os.path.join(bench_dir, "small.json"))
-
-best = max(
-    s
-    for entry in large.values()
-    for s in entry["threaded_vs_event_speedup"].values()
-)
-worst_small = min(
-    s
-    for entry in small.values()
-    for s in entry["threaded_vs_event_speedup"].values()
-)
-
-notes = [
-    "threaded_vs_event_speedup > 1 means the threaded kernel finished "
-    "faster than the event kernel at that thread count; every run "
-    "cross-checks simulated cycles against the serial kernels "
-    "(bench_speed aborts on divergence)."
-]
-if host_cores < max(thread_list):
-    notes.append(
-        f"recorded on a {host_cores}-core host: thread counts above "
-        f"{host_cores} time-share cores, so these ratios measure "
-        "barrier/scheduling overhead, not parallel speedup; re-run "
-        "this script on a multi-core host for the real numbers (the CI "
-        "perf-smoke job gates threaded >= event on 4-vCPU runners)."
-    )
-
-report = {
-    "bench": "BENCH_5",
-    "description": "simulator wall-clock: threaded kernel vs "
-                   "event-driven kernel per thread count (identical "
-                   "simulated cycles)",
-    "host_cores": host_cores,
-    "sim_threads": thread_list,
-    "largest_configs": large,
-    "smallest_config": small,
-    "summary": {
-        "best_threaded_vs_event_speedup": round(best, 3),
-        "smallest_config_worst_ratio": round(worst_small, 3),
-    },
-    "notes": notes,
-}
-json.dump(report, open(out, "w"), indent=2)
-print(f"wrote {out}: best threaded-vs-event {best:.2f}x on "
-      f"{host_cores} host cores; smallest-config worst ratio "
-      f"{worst_small:.2f}x")
-EOF
-
-fi # want 5
-
-# ---------------------------------------------------------------------
-# BENCH_6: threaded kernel, thread-count x epoch-size sweep.
-# ---------------------------------------------------------------------
-
-if want 6; then
-
-BENCH6_DIR=$(mktemp -d)
-
-BENCH6_CONFIGS="btree/tta rtnn/tta"
-i=0
-for cfg in $BENCH6_CONFIGS; do
-    echo "== bench_speed, $cfg, threaded sweep" \
-         "(sim-threads=$THREADS, sim-epoch=$EPOCHS) =="
-    "$BUILD"/bench/bench_speed --bench="$cfg" --sim-threads="$THREADS" \
-        --sim-epoch="$EPOCHS" --json="$BENCH6_DIR/cfg_$i.json"
-    i=$((i + 1))
-done
-
-python3 - "$BENCH6_DIR" "$OUT6" "$HOST_CORES" "$THREADS" "$EPOCHS" <<'EOF'
-import glob
-import json
-import os
-import sys
-
-bench_dir, out, host_cores, threads, epochs = sys.argv[1:6]
-host_cores = int(host_cores)
-thread_list = [int(t) for t in threads.split(",")]
-epoch_list = [int(e) for e in epochs.split(",")]
-
-configs = {}
-for path in sorted(glob.glob(os.path.join(bench_dir, "cfg_*.json"))):
-    doc = json.load(open(path))
-    for r in doc["runs"]:
-        entry = configs.setdefault(r["bench"], {"threaded_wall_s": {}})
-        if r["kernel"] == "event":
-            entry["event_wall_s"] = r["wall_s"]
-        elif r["kernel"] == "threaded":
-            key = f"threads={r['sim_threads']},epoch={r['sim_epoch']}"
-            entry["threaded_wall_s"][key] = r["wall_s"]
-
-report = {
-    "bench": "BENCH_6",
-    "description": "simulator wall-clock: threaded kernel with "
-                   "epoch-batched barriers vs event-driven kernel, per "
-                   "(sim-threads, sim-epoch) pair (identical simulated "
-                   "cycles, cross-checked by bench_speed)",
-    "host_cores": host_cores,
-    "sim_threads": thread_list,
-    "sim_epochs": epoch_list,
-    "configs": configs,
-}
-
-if host_cores < 2:
-    # A single-core host time-shares every simulation thread: a
-    # threaded/event wall-clock ratio measured here is scheduling
-    # overhead, not speedup, and publishing it as "speedup" is exactly
-    # the misreading BENCH_5's first recording invited. Record the raw
-    # walls only.
-    report["speedup"] = None
-    report["notes"] = [
-        f"recorded on a {host_cores}-core host: the speedup section is "
-        "refused (threaded vs event on one core measures time-sharing "
-        "overhead, not parallel speedup). Re-run on a multi-core host "
-        "to populate it; the CI perf-smoke job gates threaded >= event "
-        "at 4 threads on 4-vCPU runners."
-    ]
-    json.dump(report, open(out, "w"), indent=2)
-    print(f"wrote {out}: raw walls only (speedup section refused on a "
-          f"{host_cores}-core host)")
-    sys.exit(0)
-
-speedup = {}
-worst = None
-best_at_4 = {}
-for bench, entry in configs.items():
-    ev = entry["event_wall_s"]
-    per_pair = {}
-    for key, w in sorted(entry["threaded_wall_s"].items()):
-        s = round(ev / w, 3) if w > 0 else 0.0
-        per_pair[key] = s
-        worst = s if worst is None else min(worst, s)
-        if "threads=4," in key and key.split("epoch=")[1] != "1":
-            cur = best_at_4.get(bench)
-            best_at_4[bench] = s if cur is None else max(cur, s)
-    speedup[bench] = per_pair
-
-report["speedup"] = speedup
-report["summary"] = {
-    "worst_pair_ratio": worst,
-    "speedup_at_4_threads_epoch_batched": best_at_4,
-    "gates": "target: >= 2x at 4 threads on both configs with epoch "
-             "batching on; >= 0.95x at every swept pair",
-}
-report["notes"] = [
-    "sim-epoch=1 is the pre-epoch per-cycle barrier (the BENCH_5 "
-    "configuration); larger epochs amortize the two L2 barriers over K "
-    "cycles of per-shard work."
-]
-json.dump(report, open(out, "w"), indent=2)
-print(f"wrote {out}: worst pair {worst}x; 4-thread epoch-batched "
-      f"speedups {best_at_4}")
-EOF
-
-fi # want 6
 
 # ---------------------------------------------------------------------
 # BENCH_7: wide SoA node layouts vs scalar trees (SIMD functional path).
@@ -460,7 +222,7 @@ BENCH8_DIR=$(mktemp -d)
 BENCH8_QUERIES=${BENCH8_QUERIES:-1000000}
 
 echo "== bench_service, 5 scenarios x $BENCH8_QUERIES arrivals" \
-     "(+ threaded determinism cross-check) =="
+     "(+ determinism cross-check) =="
 "$BUILD"/bench/bench_service --queries="$BENCH8_QUERIES" \
     --check-determinism --json="$BENCH8_DIR/service.jsonl"
 
@@ -501,8 +263,8 @@ report = {
     "host_cores": int(host_cores),
     "arrivals_per_scenario": int(queries),
     "determinism_cross_check": "passed: every scenario bit-identical "
-                               "under the threaded kernel (2 sim "
-                               "threads); bench_service exits 2 on "
+                               "on rerun and with the staging mode "
+                               "flipped; bench_service exits 2 on "
                                "divergence",
     "scenarios": scenarios,
     "summary": {

@@ -77,16 +77,11 @@ TtaDevice::TtaDevice(const sim::Config &cfg, sim::StatRegistry &stats,
 {
     gpu_ = std::make_unique<gpu::Gpu>(cfg_, stats);
     if (cfg_.accelMode != sim::AccelMode::BaselineGpu) {
-        // Each accelerator joins its SM's shard (stats registry and
-        // threaded-kernel island both): the unit only talks to its own
-        // core and to the memory system, which stages cross-shard
-        // requests itself.
         for (uint32_t sm = 0; sm < cfg_.numSms; ++sm) {
             rtas_.push_back(std::make_unique<rta::RtaUnit>(
-                cfg_, sm, gpu_->memsys(), gpu_->shardStats(sm)));
+                cfg_, sm, gpu_->memsys(), stats));
             gpu_->attachAccel(sm, rtas_.back().get());
-            gpu_->addComponent(rtas_.back().get(),
-                               static_cast<int>(sm));
+            gpu_->addComponent(rtas_.back().get());
         }
     }
 }

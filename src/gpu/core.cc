@@ -379,18 +379,8 @@ SimtCore::execMemory(sim::Cycle cycle, uint32_t slot, WarpContext &warp,
     const bool is_store = inst.op == Opcode::Store;
     if (!is_store && warp.pendingLoads.size() >= kMaxPendingLoads)
         return false;
-    if (!memsys_->canAccept(smId_)) {
-        // Inside an epoch window the memory system's back-pressure wake
-        // only replays at the barrier, where it may resolve to a cycle
-        // the parallel phase already ran. Self-schedule the retry at the
-        // projected acceptance cycle instead: this core then owns a tick
-        // there (a stall-accounting no-op — the scan re-fails or issues
-        // exactly when the serial kernels would), and the replayed wake
-        // merges into it.
-        if (sim::Simulator::currentEpochEnd() != 0)
-            wake(memsys_->nextAcceptCycle(smId_));
+    if (!memsys_->canAccept(smId_))
         return false;
-    }
 
     std::vector<mem::Addr> &addrs = addrBuf_;
     addrs.assign(cfg_.warpSize, 0);

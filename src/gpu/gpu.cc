@@ -1,8 +1,6 @@
 #include "gpu/gpu.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "sim/logging.hh"
 
@@ -13,27 +11,14 @@ Gpu::Gpu(const sim::Config &cfg, sim::StatRegistry &stats)
 {
     gmem_ = std::make_unique<mem::GlobalMemory>();
     memsys_ = std::make_unique<mem::MemSystem>(cfg_, stats);
-    // Threaded kernel: per-SM components get shadow stat registries so
-    // concurrent shards never touch the same stat objects; shardStats()
-    // hands the shadows to the cores here and to the accelerators via
-    // TtaDevice. The memory system (shared shard) keeps the main
-    // registry.
-    if (sim_.kernel() == sim::Simulator::Kernel::Threaded) {
-        for (uint32_t sm = 0; sm < cfg_.numSms; ++sm) {
-            shardStats_.push_back(std::make_unique<sim::StatRegistry>());
-            shardStats_.back()->setTracer(stats.tracer());
-        }
-    }
     for (uint32_t sm = 0; sm < cfg_.numSms; ++sm) {
         cores_.push_back(std::make_unique<SimtCore>(
-            cfg_, sm, *memsys_, *gmem_, shardStats(sm)));
+            cfg_, sm, *memsys_, *gmem_, stats));
     }
     // Tick order: cores issue, then extra components (accelerators are
-    // appended by the caller), then the memory system retires. Each
-    // core is its SM's shard; the memory system runs serially between
-    // the core and accelerator segments under the threaded kernel.
+    // appended by the caller), then the memory system retires.
     for (uint32_t sm = 0; sm < cfg_.numSms; ++sm)
-        sim_.add(cores_[sm].get(), static_cast<int>(sm));
+        sim_.add(cores_[sm].get());
     sim_.add(memsys_.get());
     // Producer→consumer wake edges for the event-driven kernel: memory
     // responses wake the requesting core (accelerators register their
@@ -41,14 +26,6 @@ Gpu::Gpu(const sim::Config &cfg, sim::StatRegistry &stats)
     for (uint32_t sm = 0; sm < cfg_.numSms; ++sm)
         memsys_->setCoreWaker(sm, cores_[sm].get());
     sim_.setWatchdog(cfg_.watchdogCycles);
-    // Epoch-batched barriers (threaded kernel): the GPU model is safe
-    // for windows up to the shorter cache latency — any request issued
-    // inside a window matures (responses, downstream forwards) at least
-    // one full L1 latency later, i.e. after the window closed, so the
-    // memory system's per-SM acceptance projections stay exact for the
-    // whole window (DESIGN.md "Epoch-batched barriers").
-    sim_.setEpochLimit(
-        std::min<sim::Cycle>(cfg_.l1LatencyCycles, cfg_.l2LatencyCycles));
 }
 
 Gpu::~Gpu() = default;
@@ -126,8 +103,6 @@ Gpu::runKernels(std::vector<Launch> launches)
     sim::Cycle start = sim_.cycle();
     bool remaining = true;
     const sim::Cycle max_cycles = cfg_.watchdogCycles;
-    const bool debug_timeline = std::getenv("TTA_DEBUG_TIMELINE");
-    sim::Cycle next_report = 100000;
     // Quiescence is re-checked after every *processed* cycle, matching
     // the polling loop's per-cycle check boundary, so both kernels
     // finish with the identical cycle count (any ticks still scheduled
@@ -136,11 +111,6 @@ Gpu::runKernels(std::vector<Launch> launches)
     while (remaining || sim_.anyBusy()) {
         if (remaining)
             remaining = dispatch(states);
-        // Dispatch scans free warp slots between advances (dynamic load
-        // balancing), so while launches remain the clock must move one
-        // processed cycle at a time — epoch windows would overrun the
-        // next dispatch opportunity.
-        sim_.setDispatchPending(remaining);
         if (!sim_.advance(start + max_cycles)) {
             // Event-driven kernel with nothing scheduled: a busy
             // component missed a wake edge (a model bug, not a user
@@ -149,19 +119,6 @@ Gpu::runKernels(std::vector<Launch> launches)
                   "scheduled wakeup; still-busy components: [%s]",
                   sim_.busyComponentNames().c_str());
         }
-        if (debug_timeline && sim_.cycle() - start >= next_report) {
-            uint32_t active_warps = 0;
-            for (auto &c : cores_)
-                active_warps += cfg_.maxWarpsPerSm - c->freeSlots();
-            std::fprintf(stderr,
-                         "[timeline] cycle=%llu warps=%u issued=%llu\n",
-                         static_cast<unsigned long long>(sim_.cycle() -
-                                                         start),
-                         active_warps,
-                         static_cast<unsigned long long>(
-                             stats_->counterValue("core.issued")));
-            next_report += 100000;
-        }
         panic_if(sim_.cycle() - start > max_cycles,
                  "kernel did not finish within %llu cycles; "
                  "still-busy components: [%s]",
@@ -169,23 +126,7 @@ Gpu::runKernels(std::vector<Launch> launches)
                  sim_.busyComponentNames().c_str());
     }
     sim_.finishAccounting();
-    absorbShardStats();
     return sim_.cycle() - start;
-}
-
-void
-Gpu::absorbShardStats()
-{
-    // SM-id order matches both the shards' caller registration order
-    // and what a serial kernel would have accumulated into the single
-    // registry; all absorbed stats are counters and integer-valued
-    // histograms, so the fold is exact. Shadows reset after absorbing:
-    // a later run (kernel fusion launches several) absorbs only its own
-    // deltas.
-    for (auto &reg : shardStats_) {
-        stats_->absorb(*reg);
-        reg->reset();
-    }
 }
 
 } // namespace tta::gpu

@@ -45,19 +45,6 @@ class Gpu
     sim::StatRegistry &stats() { return *stats_; }
 
     /**
-     * Registry that SM `sm`'s components (core + accelerator) should
-     * register their stats with. Under the threaded kernel this is a
-     * per-shard shadow registry — workers never contend on stat objects
-     * — absorbed into stats() in SM-id order at the end of each run;
-     * under the serial kernels it is stats() itself.
-     */
-    sim::StatRegistry &
-    shardStats(uint32_t sm)
-    {
-        return shardStats_.empty() ? *stats_ : *shardStats_[sm];
-    }
-
-    /**
      * Attach per-SM accelerator devices. The devices must also be
      * TickedComponents (or be driven by one) registered via addComponent().
      */
@@ -66,17 +53,9 @@ class Gpu
         cores_[sm]->setAccel(dev);
     }
 
-    /**
-     * Register an extra ticked component (e.g. an RTA) into the run
-     * loop. `shard` gives the component's per-SM island for the
-     * threaded kernel (accelerators pass their SM id); components that
-     * must run serially pass sim::kSharedShard.
-     */
-    void
-    addComponent(sim::TickedComponent *comp, int shard = sim::kSharedShard)
-    {
-        sim_.add(comp, shard);
-    }
+    /** Register an extra ticked component (e.g. an RTA) into the run
+     *  loop. */
+    void addComponent(sim::TickedComponent *comp) { sim_.add(comp); }
 
     /** Run a single kernel to completion; returns elapsed cycles. */
     sim::Cycle runKernel(const KernelProgram &prog, uint64_t num_threads,
@@ -97,14 +76,8 @@ class Gpu
     /** Fill free warp slots from pending launches; true if any remain. */
     bool dispatch(std::vector<DispatchState> &states);
 
-    /** Fold the per-shard shadow registries into stats() (SM-id order)
-     *  and clear them; no-op under the serial kernels. */
-    void absorbShardStats();
-
     const sim::Config cfg_;
     sim::StatRegistry *stats_;
-    /** Per-SM shadow registries (threaded kernel only; else empty). */
-    std::vector<std::unique_ptr<sim::StatRegistry>> shardStats_;
     std::unique_ptr<mem::GlobalMemory> gmem_;
     std::unique_ptr<mem::MemSystem> memsys_;
     std::vector<std::unique_ptr<SimtCore>> cores_;

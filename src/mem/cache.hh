@@ -158,16 +158,6 @@ class Cache
     /** True if the line currently has an outstanding MSHR. */
     bool missPending(Addr line_addr) const;
 
-    /** MSHR registers not currently holding an outstanding miss. The
-     *  epoch-batched kernel sizes its windows so in-window accesses can
-     *  never exhaust them (see MemSystem::epochCycleBound). */
-    uint32_t
-    freeMshrs() const
-    {
-        uint32_t used = static_cast<uint32_t>(mshrs_.size());
-        return used >= mshrCapacity_ ? 0 : mshrCapacity_ - used;
-    }
-
     /** Invalidate all resident lines (between kernels in tests). */
     void flush();
 

@@ -11,16 +11,6 @@ MemSystem::MemSystem(const sim::Config &cfg, sim::StatRegistry &stats)
     : sim::TickedComponent("memsys"), cfg_(cfg)
 {
     l1In_.resize(cfg_.numSms);
-    staged_.resize(cfg_.numSms);
-    stagedCount_.assign(cfg_.numSms, 0);
-    for (auto &slot : staged_)
-        slot.reserve(256);
-    projReady_.resize(cfg_.numSms);
-    for (auto &proj : projReady_)
-        proj.reserve(2 * kL1QueueDepth);
-    projHead_.assign(cfg_.numSms, 0);
-    projPopT_.assign(cfg_.numSms, 0);
-    stagedCursor_.assign(cfg_.numSms, 0);
     responses_.resize(cfg_.numSms);
     rtaResponses_.resize(cfg_.numSms);
     l1Pending_.resize(cfg_.numSms);
@@ -69,205 +59,13 @@ MemSystem::MemSystem(const sim::Config &cfg, sim::StatRegistry &stats)
 bool
 MemSystem::canAccept(uint32_t sm_id) const
 {
-    if (windowActive_) {
-        // Parallel phase of an epoch window: project the input-queue
-        // depth the barrier replay will reconstruct at the caller's
-        // current tick cycle. Pops settle through cycle c - 1 for
-        // callers that tick before the memory system (cores: our tick
-        // at c drains after theirs) and through c for callers that tick
-        // after it (accelerators).
-        const sim::Cycle c = sim::Simulator::currentTickCycle();
-        const sim::Cycle settled =
-            sim::Simulator::currentIndex() < schedIndex() ? c : c + 1;
-        advancePops(sm_id, settled);
-        return projReady_[sm_id].size() - projHead_[sm_id] < kL1QueueDepth;
-    }
-    return l1In_[sm_id].size() + stagedCount_[sm_id] < kL1QueueDepth;
-}
-
-void
-MemSystem::advancePops(uint32_t sm, sim::Cycle bound) const
-{
-    // The projection may pop on every cycle unconditionally: whenever
-    // the real queue is non-empty the memory system is provably awake
-    // (the first staged entry's same-cycle wake plus l1In_ keeping
-    // nextEventCycle at cycle + 1), and popping from an empty
-    // projection is a no-op. In-window accesses can never hit an MSHR
-    // structural stall (see epochCycleBound), so tickL1's only other
-    // early exit — the FIFO head's ready gate — is modelled exactly.
-    const auto &ready = projReady_[sm];
-    size_t &head = projHead_[sm];
-    sim::Cycle &pop_t = projPopT_[sm];
-    while (pop_t < bound) {
-        uint32_t budget = kL1AccessesPerCycle;
-        while (budget && head < ready.size() && ready[head] <= pop_t) {
-            ++head;
-            --budget;
-        }
-        ++pop_t;
-    }
-}
-
-sim::Cycle
-MemSystem::nextAcceptCycle(uint32_t sm_id) const
-{
-    panic_if(!windowActive_, "nextAcceptCycle outside an epoch window");
-    // Simulate on copies: the shared pop cursor must only settle cycles
-    // whose appends are complete, and this call peeks into the future.
-    // Entries staged after this call only delay acceptance, and the
-    // retry tick re-projects, so converging on the true cycle is safe.
-    const auto &ready = projReady_[sm_id];
-    size_t head = projHead_[sm_id];
-    sim::Cycle pop_t = projPopT_[sm_id];
-    const sim::Cycle c = sim::Simulator::currentTickCycle();
-    for (sim::Cycle t = c + 1;; ++t) {
-        // A core retrying at t has pops settled through t - 1.
-        while (pop_t < t) {
-            uint32_t budget = kL1AccessesPerCycle;
-            while (budget && head < ready.size() && ready[head] <= pop_t) {
-                ++head;
-                --budget;
-            }
-            ++pop_t;
-        }
-        if (ready.size() - head < kL1QueueDepth)
-            return t;
-    }
+    return l1In_[sm_id].size() < kL1QueueDepth;
 }
 
 void
 MemSystem::sendRequest(const MemRequest &req)
 {
     panic_if(req.smId >= cfg_.numSms, "bad SM id %u", req.smId);
-    // A call from a per-SM shard (threaded kernel, parallel segment in
-    // progress) may not touch shared counters or queues: stage it in
-    // the caller's slot and replay the whole call at the barrier. The
-    // slot is shard-private, so staging needs no locks.
-    int shard = sim::Simulator::currentShard();
-    if (shard >= 0) {
-        panic_if(static_cast<uint32_t>(shard) != req.smId,
-                 "request for SM %u sent from shard %d", req.smId, shard);
-        const sim::Cycle c = sim::Simulator::currentTickCycle();
-        staged_[shard].push_back({sim::Simulator::currentIndex(), req, c});
-        bool perfect = cfg_.perfectMemory ||
-            (cfg_.perfectNodeFetch &&
-             req.source == RequestSource::RtaNode);
-        if (!perfect) {
-            ++stagedCount_[req.smId];
-            if (windowActive_) {
-                // The replay will push this entry with ready = c for
-                // cores (our catch-up reaches c - 1 before the push,
-                // then we tick at c) and ready = c + 1 for accelerators
-                // (replayed after our tick at c already ran).
-                projReady_[req.smId].push_back(
-                    sim::Simulator::currentIndex() < schedIndex() ? c
-                                                                  : c + 1);
-            }
-        }
-        return;
-    }
-    sendRequestNow(req);
-}
-
-void
-MemSystem::drainStaged(sim::Cycle now)
-{
-    (void)now;
-    for (uint32_t sm = 0; sm < cfg_.numSms; ++sm) {
-        if (staged_[sm].empty())
-            continue;
-        for (const StagedRequest &entry : staged_[sm]) {
-            // Replay with the original caller's tick context so wake
-            // ordering (self-wake, perfect-path response wakes) resolves
-            // exactly as the serial kernels would have resolved it.
-            sim::Simulator::ReplayGuard guard(entry.callerIdx);
-            sendRequestNow(entry.req);
-        }
-        staged_[sm].clear();
-        stagedCount_[sm] = 0;
-    }
-}
-
-sim::Cycle
-MemSystem::epochCycleBound(sim::Cycle cycle) const
-{
-    (void)cycle;
-    // Perfect paths answer a staged request with a same-cycle response
-    // wake, which window staging cannot legally deliver backwards in
-    // time; keep those limit-study runs on per-cycle barriers.
-    if (cfg_.perfectMemory || cfg_.perfectNodeFetch)
-        return 1;
-    // A window of K cycles drains at most K * kL1AccessesPerCycle L1
-    // accesses per SM; keep K small enough that they can never exhaust
-    // the free MSHRs, so canAccept()'s projection (which assumes no
-    // structural stall) stays exact. Fills during the window only free
-    // registers, so the entry head-room is a lower bound.
-    uint32_t min_free = ~uint32_t{0};
-    for (const auto &l1 : l1_)
-        min_free = std::min(min_free, l1->freeMshrs());
-    return std::max<sim::Cycle>(1, min_free / kL1AccessesPerCycle);
-}
-
-void
-MemSystem::beginEpochWindow(sim::Cycle begin, sim::Cycle end)
-{
-    (void)end;
-    for (uint32_t sm = 0; sm < cfg_.numSms; ++sm) {
-        // A non-empty input queue makes us due next cycle, which clamps
-        // the window to a single cycle — a multi-cycle window therefore
-        // always opens with every projection starting from empty.
-        panic_if(!l1In_[sm].empty(),
-                 "epoch window opened with a non-empty L1 input queue "
-                 "(sm %u)", sm);
-        projReady_[sm].clear();
-        projHead_[sm] = 0;
-        projPopT_[sm] = begin;
-        stagedCursor_[sm] = 0;
-    }
-    windowActive_ = true;
-    windowBegin_ = begin;
-}
-
-void
-MemSystem::replayStagedFrom(sim::Cycle cycle, uint32_t caller_index)
-{
-    // Each SM slot is filled cycle-by-cycle, core before accelerator
-    // (the shard runs its components in registration order), so the
-    // entries for this (cycle, caller) pair sit contiguously at the
-    // slot's replay cursor.
-    for (uint32_t sm = 0; sm < cfg_.numSms; ++sm) {
-        auto &slot = staged_[sm];
-        size_t &cur = stagedCursor_[sm];
-        while (cur < slot.size() && slot[cur].issueCycle == cycle &&
-               slot[cur].callerIdx == caller_index) {
-            sim::Simulator::ReplayGuard guard(caller_index);
-            sendRequestNow(slot[cur].req);
-            ++cur;
-        }
-    }
-}
-
-void
-MemSystem::endEpochWindow()
-{
-    for (uint32_t sm = 0; sm < cfg_.numSms; ++sm) {
-        // Every staged request is issued by a busy caller, so its issue
-        // cycle precedes the window's quiescence point and the replay
-        // must have consumed it.
-        panic_if(stagedCursor_[sm] != staged_[sm].size(),
-                 "epoch window closed with %zu unreplayed request(s) "
-                 "for SM %u",
-                 staged_[sm].size() - stagedCursor_[sm], sm);
-        staged_[sm].clear();
-        stagedCount_[sm] = 0;
-        stagedCursor_[sm] = 0;
-    }
-    windowActive_ = false;
-}
-
-void
-MemSystem::sendRequestNow(const MemRequest &req)
-{
     if (req.isWrite)
         ++*writes_;
     else
@@ -407,12 +205,8 @@ MemSystem::tickL1(sim::Cycle cycle, uint32_t sm)
     // sendRequest (canAccept() false) has no other wake edge for this
     // resource. We tick after the cores, so the wake resolves to the
     // next cycle — the first cycle a polling core would see the space.
-    // Advisory (wakeHint): the core may not have been waiting at all,
-    // and inside an epoch window a refused core self-schedules its own
-    // retry at nextAcceptCycle(), so a hint resolving into the window's
-    // already-run past is droppable rather than a contract violation.
     if (was_full && in.size() < kL1QueueDepth && coreWaker_[sm])
-        coreWaker_[sm]->wakeHint(cycle);
+        coreWaker_[sm]->wake(cycle);
 }
 
 void

@@ -37,33 +37,11 @@ class MemSystem : public sim::TickedComponent
   public:
     MemSystem(const sim::Config &cfg, sim::StatRegistry &stats);
 
-    /** True when SM sm_id may sendRequest() this cycle. Inside an epoch
-     *  window this is an exact per-SM projection of the input queue the
-     *  replay will reconstruct: appends are the entries the SM's own
-     *  shard staged so far, pops follow the L1 front end's two-per-cycle
-     *  ready-gated drain. The projection is exact because only the SM's
-     *  own shard feeds its queue and in-window accesses can never hit an
-     *  MSHR structural stall (the window is bounded by free MSHR
-     *  headroom; see epochCycleBound). */
+    /** True when SM sm_id may sendRequest() this cycle (its L1 input
+     *  queue has room). */
     bool canAccept(uint32_t sm_id) const;
 
-    /** Epoch windows only: first cycle >= the caller's current tick
-     *  cycle + 1 at which canAccept(sm_id) can turn true, projected from
-     *  the entries staged so far. A refused core self-schedules its
-     *  retry here; entries staged later can only delay acceptance, and
-     *  the retry tick re-projects, so the retry converges on exactly the
-     *  cycle the memory system's own back-pressure wake would have
-     *  delivered (that wake, replayed later, dedups against the retry
-     *  tick). */
-    sim::Cycle nextAcceptCycle(uint32_t sm_id) const;
-
-    /**
-     * Issue a line transaction from an SM (core or RTA). Under the
-     * threaded kernel, calls made from a per-SM shard are staged and
-     * replayed at the segment barrier in SM-id order (the shards'
-     * caller registration order); canAccept() already counts staged
-     * entries, so admission control is unchanged.
-     */
+    /** Issue a line transaction from an SM (core or RTA). */
     void sendRequest(const MemRequest &req);
 
     /**
@@ -87,11 +65,6 @@ class MemSystem : public sim::TickedComponent
     bool busy() const override;
     sim::Cycle nextEventCycle(sim::Cycle cycle) const override;
     void catchUp(sim::Cycle now) override;
-    void drainStaged(sim::Cycle now) override;
-    sim::Cycle epochCycleBound(sim::Cycle cycle) const override;
-    void beginEpochWindow(sim::Cycle begin, sim::Cycle end) override;
-    void endEpochWindow() override;
-    void replayStagedFrom(sim::Cycle cycle, uint32_t caller_index) override;
 
     /**
      * Register the component to wake when a response is pushed for
@@ -140,14 +113,6 @@ class MemSystem : public sim::TickedComponent
     using FillQueue = std::priority_queue<TimedFill, std::vector<TimedFill>,
                                           std::greater<TimedFill>>;
 
-    /** sendRequest()'s body: all side effects of accepting a request.
-     *  Runs directly under the serial kernels, at the barrier replay
-     *  under the threaded kernel. */
-    void sendRequestNow(const MemRequest &req);
-    /** Settle the epoch-window pop projection for SM sm through every
-     *  cycle < bound (kL1AccessesPerCycle ready entries per cycle,
-     *  FIFO head-gated, exactly mirroring tickL1's drain). */
-    void advancePops(uint32_t sm, sim::Cycle bound) const;
     void tickL1(sim::Cycle cycle, uint32_t sm);
     void tickL2(sim::Cycle cycle);
     void tickDram(sim::Cycle cycle);
@@ -162,34 +127,6 @@ class MemSystem : public sim::TickedComponent
     // Per-SM front end.
     std::vector<std::unique_ptr<Cache>> l1_;
     std::vector<std::deque<Timed>> l1In_;
-    /** Threaded kernel: requests staged by per-SM shards during a
-     *  parallel segment, FIFO per shard (== per caller, since each SM
-     *  has at most one producer per segment). Replayed by
-     *  drainStaged() in SM-id order. */
-    struct StagedRequest
-    {
-        uint32_t callerIdx; //!< caller's scheduler registration index
-        MemRequest req;
-        sim::Cycle issueCycle; //!< caller's tick cycle at staging time
-    };
-    std::vector<std::vector<StagedRequest>> staged_;
-    /** Staged entries bound for l1In_[sm] (non-perfect requests), so
-     *  canAccept() sees the queue depth the replay will produce. */
-    std::vector<uint32_t> stagedCount_;
-
-    // Epoch-window projection (valid between beginEpochWindow and
-    // endEpochWindow). Per SM: the ready cycles the staged entries will
-    // carry once replayed into l1In_ (monotone — cores stage ready = c,
-    // accelerators ready = c + 1), a pop cursor simulating the L1 front
-    // end's two-ready-entries-per-cycle drain, and a replay cursor into
-    // staged_. Mutable: canAccept() is const but advances the shared pop
-    // cursor (queries arrive in non-decreasing cycle order per SM).
-    bool windowActive_ = false;
-    sim::Cycle windowBegin_ = 0;
-    mutable std::vector<std::vector<sim::Cycle>> projReady_;
-    mutable std::vector<size_t> projHead_;
-    mutable std::vector<sim::Cycle> projPopT_;
-    std::vector<size_t> stagedCursor_;
     std::vector<std::deque<MemResponse>> responses_;
     std::vector<std::deque<MemResponse>> rtaResponses_;
     /** L1 MSHR payload: line -> requests waiting on the fill. */

@@ -11,9 +11,12 @@ DeviceGroup::DeviceGroup(const sim::Config &cfg, uint32_t num_devices,
     fatal_if(num_devices == 0, "DeviceGroup with zero devices");
     for (uint32_t d = 0; d < num_devices; ++d)
         devices_.push_back(std::make_unique<ServiceDevice>(cfg, d));
-    for (uint32_t d = 0; d < num_devices; ++d) {
+    // Every Worker exists before any thread starts: a running worker
+    // reads workers_, so growing it afterwards would race.
+    for (uint32_t d = 0; d < num_devices; ++d)
         workers_.push_back(std::make_unique<Worker>());
-        if (pipelined_)
+    if (pipelined_) {
+        for (uint32_t d = 0; d < num_devices; ++d)
             workers_[d]->thread =
                 std::thread([this, d] { workerLoop(d); });
     }

@@ -42,8 +42,8 @@
  *      start cycle. Thief and victim selection tie-break on the lowest
  *      device index and every event is logged as (cycle, batch id,
  *      victim -> thief), so the steal schedule is a pure function of
- *      the virtual clock — bit-identical across simulation kernels,
- *      staging modes and `--sim-threads`. Tail-only steals that must
+ *      the virtual clock — bit-identical across simulation kernels
+ *      and staging modes. Tail-only steals that must
  *      strictly help are also what rules out SLO-priority inversion:
  *      no batch's estimated start ever increases because of a steal.
  *      A priority (latency-sensitive) tail is the one case where the

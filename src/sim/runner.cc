@@ -3,16 +3,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 #include <thread>
 #include <type_traits>
 
-#include "sim/ticked.hh"
-
 namespace tta::sim {
 
 namespace {
+
+/** Test hook replacing the raw hardware_concurrency() probe. */
+std::atomic<unsigned (*)()> hw_probe_hook{nullptr};
 
 /** FNV-1a over the bytes of a trivially copyable value. */
 template <typename T>
@@ -167,21 +167,24 @@ RunRecord::toJson(bool include_timing) const
 
 ExperimentRunner::ExperimentRunner(unsigned threads) : threads_(threads)
 {
-    // Simulator::hardwareConcurrency() folds the standard's "0 = not
-    // computable" escape hatch to one core (and honours the test hook).
     if (threads_ == 0)
-        threads_ = Simulator::hardwareConcurrency();
+        threads_ = hardwareConcurrency();
 }
 
 unsigned
-ExperimentRunner::budgetWorkers(unsigned requested, unsigned sim_threads,
-                                unsigned hardware)
+ExperimentRunner::hardwareConcurrency()
 {
-    if (hardware == 0)
-        hardware = 1;
-    if (sim_threads == 0)
-        sim_threads = hardware; // the threaded kernel's "auto"
-    return std::max(1u, std::min(requested, hardware / sim_threads));
+    unsigned (*hook)() = hw_probe_hook.load(std::memory_order_relaxed);
+    unsigned v = hook ? hook() : std::thread::hardware_concurrency();
+    // The standard permits a 0 return ("not computable"); treating that
+    // as one core keeps the pool out of the zero-thread regime.
+    return v ? v : 1;
+}
+
+void
+ExperimentRunner::setHardwareConcurrencyHookForTest(unsigned (*probe)())
+{
+    hw_probe_hook.store(probe, std::memory_order_relaxed);
 }
 
 std::vector<RunRecord>
@@ -222,21 +225,6 @@ ExperimentRunner::run(const std::vector<Job> &jobs) const
 
     unsigned n = static_cast<unsigned>(
         std::min<size_t>(threads_, jobs.size() ? jobs.size() : 1));
-    // Each job under the threaded simulation kernel spins up its own
-    // worker pool: cap jobs-in-flight so jobs × sim-threads stays within
-    // the host's hardware concurrency instead of thrashing it.
-    if (Simulator::defaultKernel() == Simulator::Kernel::Threaded) {
-        unsigned hw = Simulator::hardwareConcurrency();
-        unsigned budgeted =
-            budgetWorkers(n, Simulator::defaultSimThreads(), hw);
-        if (budgeted < n) {
-            std::fprintf(stderr,
-                         "runner: clamping --jobs from %u to %u so jobs "
-                         "x sim-threads fits %u host threads\n",
-                         n, budgeted, hw);
-            n = budgeted;
-        }
-    }
     if (n <= 1) {
         worker();
         return records;

@@ -109,23 +109,19 @@ class ExperimentRunner
     unsigned threads() const { return threads_; }
 
     /**
-     * Host-thread budget: the worker count to actually use when each
-     * job internally runs `sim_threads` simulation threads (the
-     * threaded kernel), so requested × sim_threads never oversubscribes
-     * `hardware` host threads. Never returns 0; requested is honored
-     * whenever the product fits. Pure — exposed for testing.
+     * std::thread::hardware_concurrency() with the standard-permitted
+     * 0 return ("not computable") mapped to 1, and an injectable test
+     * hook, so the "auto" worker count never degenerates to zero.
      */
-    static unsigned budgetWorkers(unsigned requested,
-                                  unsigned sim_threads,
-                                  unsigned hardware);
+    static unsigned hardwareConcurrency();
+    /** Test hook: force hardwareConcurrency()'s raw probe value
+     *  (0 exercises the fallback); nullptr restores the real probe. */
+    static void setHardwareConcurrencyHookForTest(unsigned (*probe)());
 
     /**
      * Execute all jobs and return their records in submission order.
      * Jobs that throw report through RunRecord::error; the pool always
-     * drains the whole list. When the default simulation kernel is
-     * threaded, the worker count is clamped (with a stderr warning) so
-     * jobs × per-job simulation threads stays within hardware
-     * concurrency; see EXPERIMENTS.md "--jobs × --sim-threads".
+     * drains the whole list.
      */
     std::vector<RunRecord> run(const std::vector<Job> &jobs) const;
 

@@ -103,8 +103,8 @@ class Histogram
     /**
      * Fold another histogram (same bucket layout) into this one. Count,
      * overflow, sum and buckets add; min/max combine. Exact for the
-     * integer-valued samples this repo records, so absorbing a shard's
-     * shadow histogram reproduces the serial sample stream bit for bit.
+     * integer-valued samples this repo records, so merged per-device
+     * histograms equal one histogram fed every sample.
      */
     void
     merge(const Histogram &o)
@@ -210,12 +210,9 @@ class StatRegistry
 
     /**
      * Fold every statistic of `other` into this registry (creating
-     * missing entries with the source's histogram layout). The threaded
-     * kernel gives each per-SM shard a shadow registry so workers never
-     * contend on stat objects, then absorbs the shadows in SM-id order
-     * at the end of the run. All absorbed per-SM stats are counters and
-     * integer-valued histograms, so the merged totals are bit-identical
-     * to the serial kernels' single-registry values.
+     * missing entries with the source's histogram layout). A
+     * service::DeviceGroup gives every device a private registry and
+     * absorbs them into the service registry in device order.
      */
     void absorb(const StatRegistry &other);
 

@@ -15,38 +15,10 @@ namespace {
 
 /** Programmatic default-kernel override; -1 = use the environment. */
 std::atomic<int> forced_kernel{-1};
-/** Programmatic default-thread-count override; -1 = use the environment. */
-std::atomic<int> forced_threads{-1};
-/** Programmatic default-epoch override; -1 = use the environment. */
-std::atomic<int> forced_epoch{-1};
-/** Test hook replacing the raw hardware_concurrency() probe. */
-std::atomic<unsigned (*)()> hw_probe_hook{nullptr};
 
 // Process-wide telemetry pools (see SchedulerTelemetry in ticked.hh).
 std::atomic<uint64_t> g_cycles_ticked{0};
 std::atomic<uint64_t> g_cycles_skipped{0};
-
-// Thread-local tick context. Replaces the old inCycle_/scanPos_ members:
-// the wake-ordering rule needs to know which component the *calling
-// thread* is ticking, and under the threaded kernel several components
-// tick concurrently. The serial kernels use the same context (with
-// shard = -1), so the ordering rule is one piece of code for all three.
-// tl_cycle carries the cycle the in-progress tick executes at: inside an
-// epoch window shards run ahead of the parked global clock, so "now" for
-// wake resolution is the tick's cycle, never Simulator::cycle().
-thread_local int tl_shard = -1;        //!< shard being ticked; -1 = none
-thread_local bool tl_in_tick = false;  //!< inside a component's tick
-thread_local uint32_t tl_index = 0;    //!< index of the ticking component
-thread_local Cycle tl_cycle = 0;       //!< cycle of the in-progress tick
-thread_local Cycle tl_epoch_end = 0;   //!< window end; 0 = no window
-
-/** curSeg_ sentinel: the pool release is an epoch-window slice, not a
- *  single parallel segment. */
-constexpr uint32_t kWindowSeg = ~uint32_t{0};
-
-/** Hard ceiling on the epoch size: the window bookkeeping (per-cycle
- *  tick and busy bits) packs into one uint64_t per component/shard. */
-constexpr Cycle kMaxEpoch = 64;
 
 } // namespace
 
@@ -87,19 +59,9 @@ TickedComponent::wake(Cycle at)
 void
 TickedComponent::wakeNow()
 {
-    // Cycle 0 clamps to the caller's effective "now" inside wake():
-    // the in-progress tick's cycle mid-tick (which may be ahead of the
-    // parked global clock inside an epoch window), the global clock
-    // otherwise.
+    // Cycle 0 clamps to the simulator's current cycle inside wake().
     if (sched_)
         sched_->wake(this, 0);
-}
-
-void
-TickedComponent::wakeHint(Cycle at)
-{
-    if (sched_)
-        sched_->wake(this, at, /*hint=*/true);
 }
 
 Simulator::Kernel
@@ -117,10 +79,8 @@ Simulator::defaultKernel()
             return Kernel::Polling;
         if (spec == "event")
             return Kernel::EventDriven;
-        if (spec == "threaded")
-            return Kernel::Threaded;
-        fatal("TTA_SIM_KERNEL must be 'event', 'polling' or 'threaded', "
-              "got '%s'", env);
+        fatal("TTA_SIM_KERNEL must be 'event' or 'polling', got '%s'",
+              env);
     }();
     return env_kernel;
 }
@@ -137,333 +97,25 @@ Simulator::resetDefaultKernel()
     forced_kernel.store(-1, std::memory_order_relaxed);
 }
 
-unsigned
-Simulator::defaultSimThreads()
-{
-    int forced = forced_threads.load(std::memory_order_relaxed);
-    if (forced >= 0)
-        return static_cast<unsigned>(forced);
-    static const unsigned env_threads = [] {
-        const char *env = std::getenv("TTA_SIM_THREADS");
-        if (!env || !*env)
-            return 0u; // auto
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end == env || *end)
-            fatal("TTA_SIM_THREADS must be a number, got '%s'", env);
-        return static_cast<unsigned>(v);
-    }();
-    return env_threads;
-}
-
-void
-Simulator::setDefaultSimThreads(unsigned threads)
-{
-    forced_threads.store(static_cast<int>(threads),
-                         std::memory_order_relaxed);
-}
-
-void
-Simulator::resetDefaultSimThreads()
-{
-    forced_threads.store(-1, std::memory_order_relaxed);
-}
-
-unsigned
-Simulator::defaultSimEpoch()
-{
-    int forced = forced_epoch.load(std::memory_order_relaxed);
-    if (forced >= 0)
-        return static_cast<unsigned>(forced);
-    static const unsigned env_epoch = [] {
-        const char *env = std::getenv("TTA_SIM_EPOCH");
-        if (!env || !*env)
-            return 0u; // auto: the machine model's epoch limit
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end == env || *end)
-            fatal("TTA_SIM_EPOCH must be a number, got '%s'", env);
-        return static_cast<unsigned>(v);
-    }();
-    return env_epoch;
-}
-
-void
-Simulator::setDefaultSimEpoch(unsigned epoch)
-{
-    forced_epoch.store(static_cast<int>(epoch), std::memory_order_relaxed);
-}
-
-void
-Simulator::resetDefaultSimEpoch()
-{
-    forced_epoch.store(-1, std::memory_order_relaxed);
-}
-
-unsigned
-Simulator::hardwareConcurrency()
-{
-    unsigned (*hook)() = hw_probe_hook.load(std::memory_order_relaxed);
-    unsigned v = hook ? hook() : std::thread::hardware_concurrency();
-    // The standard permits a 0 return ("not computable"); treating that
-    // as one core keeps every consumer (pool sizing, jobs clamps, spin
-    // decisions) out of the degenerate zero-thread regime.
-    return v ? v : 1;
-}
-
-void
-Simulator::setHardwareConcurrencyHookForTest(unsigned (*probe)())
-{
-    hw_probe_hook.store(probe, std::memory_order_relaxed);
-}
-
-unsigned
-Simulator::defaultSpinBudget()
-{
-    // The env override is parsed once; the hardware fallback is probed
-    // per call so the test hook can steer it.
-    static const long env_spin = [&]() -> long {
-        const char *env = std::getenv("TTA_SIM_SPIN");
-        if (!env || !*env)
-            return -1;
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end == env || *end)
-            fatal("TTA_SIM_SPIN must be a number, got '%s'", env);
-        return static_cast<long>(v);
-    }();
-    if (env_spin >= 0)
-        return static_cast<unsigned>(env_spin);
-    // Spinning is pointless on a single-core host: the spinner occupies
-    // the very core the other participant needs.
-    return hardwareConcurrency() > 1 ? 20000 : 0;
-}
-
-int
-Simulator::currentShard()
-{
-    return tl_shard;
-}
-
-uint32_t
-Simulator::currentIndex()
-{
-    return tl_index;
-}
-
-Cycle
-Simulator::currentTickCycle()
-{
-    return tl_cycle;
-}
-
-Cycle
-Simulator::currentEpochEnd()
-{
-    return tl_epoch_end;
-}
-
-Simulator::ReplayGuard::ReplayGuard(uint32_t caller_index)
-    : savedShard_(tl_shard), savedInTick_(tl_in_tick), savedIndex_(tl_index)
-{
-    // Replay runs on the coordinator: shard -1 so nested sendRequest
-    // calls execute directly instead of re-staging.
-    tl_shard = -1;
-    tl_in_tick = true;
-    tl_index = caller_index;
-}
-
-Simulator::ReplayGuard::~ReplayGuard()
-{
-    tl_shard = savedShard_;
-    tl_in_tick = savedInTick_;
-    tl_index = savedIndex_;
-}
-
 Simulator::Simulator(StatRegistry &stats)
     : stats_(&stats), kernel_(defaultKernel()),
-      watchdog_(Config{}.watchdogCycles),
-      threadsRequested_(defaultSimThreads()),
-      epochRequested_(defaultSimEpoch()), tracer_(stats.tracer())
+      watchdog_(Config{}.watchdogCycles), tracer_(stats.tracer())
 {}
 
-Simulator::~Simulator()
-{
-    stopWorkers();
-}
-
 void
-Simulator::add(TickedComponent *comp, int shard)
+Simulator::add(TickedComponent *comp)
 {
-    panic_if(shard < kSharedShard, "bad shard id %d for component %s",
-             shard, comp->name().c_str());
     comp->sched_ = this;
     comp->schedIndex_ = static_cast<uint32_t>(components_.size());
     components_.push_back(comp);
-    shardOf_.push_back(shard);
     nextDue_.push_back(kAsleep);
     pending_.emplace_back();
     traceAwake_.push_back(0);
     schedTrace_.push_back(
         tracer_ ? tracer_->stream("sched." + comp->name(), TraceSched)
                 : nullptr);
-    finalized_ = false; // segments must be re-derived
     if (kernel_ != Kernel::Polling)
         scheduleAt(comp->schedIndex_, cycle_);
-}
-
-void
-Simulator::finalizeShards()
-{
-    if (finalized_)
-        return;
-    segments_.clear();
-    segOf_.assign(components_.size(), 0);
-    numShards_ = 0;
-    for (size_t i = 0; i < components_.size(); ++i) {
-        bool parallel = shardOf_[i] >= 0;
-        if (parallel)
-            numShards_ = std::max(numShards_,
-                                  static_cast<uint32_t>(shardOf_[i]) + 1);
-        if (segments_.empty() || segments_.back().parallel != parallel) {
-            segments_.push_back({static_cast<uint32_t>(i),
-                                 static_cast<uint32_t>(i) + 1, parallel});
-        } else {
-            segments_.back().end = static_cast<uint32_t>(i) + 1;
-        }
-        segOf_[i] = static_cast<uint32_t>(segments_.size()) - 1;
-    }
-    stagedWakes_.resize(numShards_);
-    // Per-shard component lists for the epoch-window slice loops, and
-    // the shared-component list for the window replay.
-    shardComps_.assign(numShards_, {});
-    sharedComps_.clear();
-    for (uint32_t i = 0; i < components_.size(); ++i) {
-        if (shardOf_[i] >= 0)
-            shardComps_[static_cast<uint32_t>(shardOf_[i])].push_back(i);
-        else
-            sharedComps_.push_back(i);
-    }
-    tickedBits_.assign(components_.size(), 0);
-    shardBusyBits_.assign(numShards_, 0);
-    if (shardCost_.size() != numShards_)
-        shardCost_.assign(numShards_, 0);
-    finalized_ = true;
-
-    if (kernel_ != Kernel::Threaded || numShards_ == 0)
-        return;
-    // Size the pool once (later add()s re-derive segments but keep the
-    // pool): requested threads, auto = hardware concurrency, clamped to
-    // the shard count — extra threads would only ever idle.
-    if (workers_.empty() && threadsUsed_ == 1) {
-        unsigned want = threadsRequested_;
-        if (want == 0)
-            want = hardwareConcurrency();
-        threadsUsed_ = std::max(1u, std::min(want, numShards_));
-        // Oversubscribed pools (more participants than hardware cores)
-        // must not spin at the barriers: a spinner burns exactly the
-        // core a not-yet-finished worker is waiting for.
-        spinBudget_ = threadsUsed_ > hardwareConcurrency()
-                          ? 0
-                          : defaultSpinBudget();
-        // Steady-state allocation-free staging: each shard stages at
-        // most a handful of wakes per cycle, so a generous reserve makes
-        // the push_back paths never allocate inside the parallel phase.
-        for (auto &v : stagedWakes_)
-            v.reserve(1024);
-        mergedWakes_.reserve(1024 * numShards_);
-        for (unsigned w = 1; w < threadsUsed_; ++w)
-            workers_.emplace_back([this, w] { workerLoop(w); });
-    }
-    // Default shard-to-worker map (round-robin); preserved across
-    // re-finalization unless the shard count changed, so measured-cost
-    // rebalancing survives later add()s that keep the same shards.
-    if (shardWorker_.size() != numShards_) {
-        shardWorker_.resize(numShards_);
-        for (uint32_t s = 0; s < numShards_; ++s)
-            shardWorker_[s] = s % threadsUsed_;
-    }
-}
-
-void
-Simulator::stopWorkers()
-{
-    if (workers_.empty())
-        return;
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        stopPool_ = true;
-        goGen_.fetch_add(1, std::memory_order_release);
-    }
-    poolCv_.notify_all();
-    for (auto &th : workers_)
-        th.join();
-    workers_.clear();
-}
-
-void
-Simulator::workerLoop(uint32_t worker)
-{
-    uint64_t seen = 0;
-    for (;;) {
-        // Wait for the next release (goGen_ advance). Spin briefly on
-        // multi-core hosts, then block on the condvar.
-        uint64_t gen = goGen_.load(std::memory_order_acquire);
-        for (unsigned spin = spinBudget_; gen == seen && spin; --spin)
-            gen = goGen_.load(std::memory_order_acquire);
-        if (gen == seen) {
-            std::unique_lock<std::mutex> lock(poolMutex_);
-            poolCv_.wait(lock, [&] {
-                return goGen_.load(std::memory_order_relaxed) != seen ||
-                       stopPool_;
-            });
-            if (stopPool_)
-                return;
-            gen = goGen_.load(std::memory_order_relaxed);
-        }
-        seen = gen;
-        {
-            std::lock_guard<std::mutex> lock(poolMutex_);
-            if (stopPool_)
-                return;
-        }
-        uint32_t seg = curSeg_.load(std::memory_order_relaxed);
-        try {
-            if (seg == kWindowSeg)
-                runWindowSlice(worker);
-            else
-                runWorkerSlice(seg, worker);
-        } catch (...) {
-            // A model fatal() mid-tick: park it for the coordinator to
-            // rethrow after the join, matching the serial kernels (an
-            // exception escaping a std::thread would terminate).
-            std::lock_guard<std::mutex> lock(poolMutex_);
-            if (!poolError_)
-                poolError_ = std::current_exception();
-        }
-        if (doneCount_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            threadsUsed_ - 1) {
-            std::lock_guard<std::mutex> lock(poolMutex_);
-            doneCv_.notify_one();
-        }
-    }
-}
-
-void
-Simulator::runWorkerSlice(uint32_t seg, uint32_t worker)
-{
-    const Segment &s = segments_[seg];
-    for (uint32_t i = s.begin; i < s.end; ++i) {
-        // Ownership check first: nextDue_[i] may only be examined by the
-        // worker that owns i's shard, since the owner writes it mid-tick
-        // (request consume, re-arm) while other workers run.
-        uint32_t shard = static_cast<uint32_t>(shardOf_[i]);
-        if (shardWorker_[shard] != worker)
-            continue;
-        if (nextDue_[i] != cycle_)
-            continue;
-        runDue(i, shardOf_[i], cycle_);
-    }
 }
 
 void
@@ -471,15 +123,6 @@ Simulator::syncSchedTrace(uint32_t index)
 {
     TraceStream *ts = schedTrace_[index];
     if (!ts)
-        return;
-    // Inside an epoch window the sched-occupancy counter goes quiet:
-    // shards run ahead of the global clock and the trim may roll it
-    // back, so per-event emission would break per-stream timestamp
-    // monotonicity. The window resyncs every component once it settles
-    // (TraceSched is documented as epoch-coarsened in DESIGN.md; model
-    // trace categories are unaffected — components emit those at their
-    // tick's own cycle).
-    if (winEnd_)
         return;
     uint8_t awake = nextDue_[index] != kAsleep ? 1 : 0;
     if (awake == traceAwake_[index])
@@ -506,506 +149,62 @@ Simulator::scheduleAt(uint32_t index, Cycle at)
 }
 
 void
-Simulator::wake(TickedComponent *comp, Cycle at, bool hint)
+Simulator::wake(TickedComponent *comp, Cycle at)
 {
     panic_if(comp->sched_ != this, "wake() for unregistered component %s",
              comp->name().c_str());
     if (kernel_ == Kernel::Polling)
         return; // everything ticks every cycle anyway
     uint32_t index = comp->schedIndex_;
-    // "Now" for clamping and same-cycle resolution: the in-progress
-    // tick's cycle (which runs ahead of the parked global clock inside
-    // an epoch window), or the global clock outside any tick.
-    const Cycle now = tl_in_tick ? tl_cycle : cycle_;
-    // Threaded kernel: a wake crossing shards is staged by the calling
-    // worker and replayed at the barrier after the segment (after the
-    // window's parallel phase, under epoch batching), tagged with its
-    // issue cycle and replayed in (issue cycle, caller registration)
-    // order, so delivery order never depends on thread interleaving.
-    // Same-shard (and coordinator-issued) wakes take the serial path
-    // below unchanged.
-    if (tl_shard >= 0 && kernel_ == Kernel::Threaded &&
-        shardOf_[index] != tl_shard) {
-        stagedWakes_[tl_shard].push_back({tl_index, index, at, now, hint});
-        return;
-    }
-    if (at < now)
-        at = now;
+    if (at < cycle_)
+        at = cycle_;
     // Same-cycle wakes resolve by registration order against the
     // component being ticked right now: targets at or before the scan
     // position already ran this cycle and see the producer's update next
     // cycle, later targets still this cycle — matching the polling
     // kernel's in-order scan.
-    if (at == now && tl_in_tick && index <= tl_index)
+    if (at == cycle_ && inTick_ && index <= tickIndex_)
         ++at;
-    // Epoch-window replay: a wake that resolves inside the window and
-    // targets a sharded component meets a parallel phase that already
-    // ran. If the target in fact ticked at `at` (it had its own tick
-    // request there), the wake would have dedup-merged with that request
-    // — delivering it now is a no-op, so drop it. An advisory wake
-    // (wakeHint) is droppable either way: its contract is that a target
-    // genuinely waiting on the signalled condition self-schedules its
-    // own retry, so a hint landing on a never-ticked cycle would only
-    // have caused a stat-neutral no-op tick. Any other wake whose target
-    // did NOT tick at `at` would have ticked it there under the serial
-    // kernels and we cannot: that is a model-contract violation (rule 7
-    // audit miss), not a scheduling decision.
-    if (winEnd_ && at < winEnd_ && shardOf_[index] >= 0 &&
-        !(tl_shard >= 0)) {
-        if (hint ||
-            (tickedBits_[index] & (uint64_t{1} << (at - winBegin_))))
-            return;
-        panic("cross-epoch wake of %s at cycle %llu arrives earlier than "
-              "its staging epoch allows (window [%llu, %llu), target "
-              "never ticked at that cycle)",
-              comp->name().c_str(), static_cast<unsigned long long>(at),
-              static_cast<unsigned long long>(winBegin_),
-              static_cast<unsigned long long>(winEnd_));
-    }
-    // A replayed cross-shard wake that lands on the current cycle can
-    // only be honored if its target runs in a *later* segment (the
-    // memory system after the core segment, the accelerators after the
-    // memory system). A same-cycle target in an already-finished segment
-    // could never be delivered the way the serial scan would — that is a
-    // machine-model ordering bug, not a scheduling decision.
-    if (at == now && drainSeg_ >= 0 &&
-        segOf_[index] <= static_cast<uint32_t>(drainSeg_)) {
-        panic("staged same-cycle wake of %s (segment %u) cannot be "
-              "delivered after segment %d already ran; cross-shard "
-              "producers must target later-ordered consumers",
-              comp->name().c_str(), segOf_[index], drainSeg_);
-    }
     // Settle skipped-cycle accounting against pre-mutation state (the
     // producer calls wake() before touching shared state). Wakes further
     // out than the next cycle (not used by the machine models) must not
     // account ahead of cycles the target may still tick through.
-    if (at <= now + 1)
+    if (at <= cycle_ + 1)
         comp->catchUp(at);
     scheduleAt(index, at);
 }
 
 void
-Simulator::runDue(uint32_t index, int shard, Cycle c)
+Simulator::runDue(uint32_t index)
 {
     auto &reqs = pending_[index];
     reqs.erase(reqs.begin()); // consume exactly this cycle's request
     nextDue_[index] = reqs.empty() ? kAsleep : reqs.front();
     TickedComponent *comp = components_[index];
-    tl_shard = shard;
-    tl_in_tick = true;
-    tl_index = index;
-    tl_cycle = c;
-    comp->tick(c);
-    Cycle next = comp->nextEventCycle(c);
+    inTick_ = true;
+    tickIndex_ = index;
+    comp->tick(cycle_);
+    Cycle next = comp->nextEventCycle(cycle_);
     if (next != kAsleep)
-        scheduleAt(index, next <= c ? c + 1 : next);
+        scheduleAt(index, next <= cycle_ ? cycle_ + 1 : next);
     syncSchedTrace(index);
-    tl_in_tick = false;
-    tl_shard = -1;
-    // Measured cost feeding the between-runs shard rebalancer; each
-    // shard's counter is only ever touched by its owning worker.
-    if (shard >= 0)
-        ++shardCost_[static_cast<uint32_t>(shard)];
-}
-
-void
-Simulator::drainSegment(uint32_t seg)
-{
-    drainSeg_ = static_cast<int>(seg);
-    tl_cycle = cycle_;
-    // Generic staged wakes first, merged across shards in caller
-    // registration order (stable within a shard, and shards never share
-    // a caller, so a stable sort reproduces the serial call order). The
-    // merge scratch is a member so the steady state never allocates.
-    size_t total = 0;
-    for (const auto &v : stagedWakes_)
-        total += v.size();
-    if (total) {
-        mergedWakes_.clear();
-        for (auto &v : stagedWakes_) {
-            mergedWakes_.insert(mergedWakes_.end(), v.begin(), v.end());
-            v.clear();
-        }
-        std::stable_sort(mergedWakes_.begin(), mergedWakes_.end(),
-                         [](const StagedWake &a, const StagedWake &b) {
-                             return a.callerIndex < b.callerIndex;
-                         });
-        for (const StagedWake &w : mergedWakes_) {
-            ReplayGuard guard(w.callerIndex);
-            wake(components_[w.targetIndex], w.at, w.hint);
-        }
-    }
-    // Then component-level staging buffers (e.g. the memory system's
-    // request queues), in registration order.
-    for (uint32_t i : sharedComps_)
-        components_[i]->drainStaged(cycle_);
-    drainSeg_ = -1;
-}
-
-void
-Simulator::runParallelSegment(uint32_t seg)
-{
-    const Segment &s = segments_[seg];
-    uint32_t due = 0;
-    for (uint32_t i = s.begin; i < s.end; ++i)
-        due += nextDue_[i] == cycle_ ? 1 : 0;
-    if (due == 0)
-        return; // nothing ticked, so nothing can have been staged
-    if (threadsUsed_ == 1 || due == 1) {
-        // Not worth a barrier round-trip; the coordinator inlines the
-        // due components with the tick context still set to their
-        // shards, so staging behaves identically to the pooled path.
-        for (uint32_t i = s.begin; i < s.end; ++i) {
-            if (nextDue_[i] == cycle_)
-                runDue(i, shardOf_[i], cycle_);
-        }
-    } else {
-        curSeg_.store(seg, std::memory_order_relaxed);
-        runPooled();
-    }
-    drainSegment(seg);
-}
-
-void
-Simulator::runPooled()
-{
-    // Release the pool at the current curSeg_ (a segment ordinal, or
-    // kWindowSeg for an epoch-window slice), run worker 0's share on
-    // the coordinator, then join.
-    doneCount_.store(0, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        goGen_.fetch_add(1, std::memory_order_release);
-    }
-    poolCv_.notify_all();
-    uint32_t seg = curSeg_.load(std::memory_order_relaxed);
-    // The coordinator's own slice may throw too; always join the pool
-    // first so no worker is left running against torn state.
-    std::exception_ptr err;
-    try {
-        if (seg == kWindowSeg)
-            runWindowSlice(0);
-        else
-            runWorkerSlice(seg, 0);
-    } catch (...) {
-        err = std::current_exception();
-    }
-    uint32_t target = threadsUsed_ - 1;
-    uint32_t done = doneCount_.load(std::memory_order_acquire);
-    for (unsigned spin = spinBudget_; done != target && spin; --spin)
-        done = doneCount_.load(std::memory_order_acquire);
-    if (done != target) {
-        std::unique_lock<std::mutex> lock(poolMutex_);
-        doneCv_.wait(lock, [&] {
-            return doneCount_.load(std::memory_order_acquire) == target;
-        });
-    }
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        if (!err && poolError_)
-            err = poolError_;
-        poolError_ = nullptr;
-    }
-    if (err)
-        std::rethrow_exception(err);
-}
-
-void
-Simulator::stepThreaded()
-{
-    for (uint32_t seg = 0; seg < segments_.size(); ++seg) {
-        const Segment &s = segments_[seg];
-        if (s.parallel) {
-            runParallelSegment(seg);
-            continue;
-        }
-        for (uint32_t i = s.begin; i < s.end; ++i) {
-            if (nextDue_[i] == cycle_)
-                runDue(i, kSharedShard, cycle_);
-        }
-    }
+    inTick_ = false;
 }
 
 void
 Simulator::step()
 {
     if (kernel_ == Kernel::Polling) {
-        tl_cycle = cycle_;
         for (auto *comp : components_)
             comp->tick(cycle_);
-        ++cycle_;
-        ++cyclesTicked_;
-        return;
-    }
-    finalizeShards();
-    if (kernel_ == Kernel::Threaded) {
-        stepThreaded();
     } else {
         for (uint32_t i = 0; i < components_.size(); ++i) {
             if (nextDue_[i] == cycle_)
-                runDue(i, kSharedShard, cycle_);
+                runDue(i);
         }
     }
     ++cycle_;
     ++cyclesTicked_;
-}
-
-Cycle
-Simulator::epochWindowLength(Cycle horizon) const
-{
-    // Epoch batching is an opt-in: the machine model raises the limit
-    // (setEpochLimit) only after auditing its components against
-    // contract rules 6-7, and an explicit --sim-epoch/TTA_SIM_EPOCH of 1
-    // turns it back off.
-    if (epochLimit_ <= 1 || numShards_ == 0)
-        return 1;
-    // Warp dispatch between advances is dynamically load-balanced; its
-    // timing must not move, so windows stay off while it is pending.
-    if (dispatchPending_)
-        return 1;
-    unsigned req = epochRequested_;
-    Cycle k = req == 0 ? epochLimit_
-                       : std::min<Cycle>(req, epochLimit_);
-    if (k <= 1)
-        return 1;
-    k = std::min(k, kMaxEpoch);
-    // The watchdog must observe the clock at the same cycle it would
-    // under per-cycle stepping.
-    k = std::min(k, horizon + 1 - cycle_);
-    // The window must close before any pre-scheduled shared-component
-    // tick: such a tick can deliver same-cycle wakes to later-ordered
-    // sharded components (e.g. a matured response waking an
-    // accelerator), which the already-run parallel phase could not have
-    // seen. Inside the window shared components then tick only when a
-    // staged request wakes them, and everything those ticks produce
-    // matures past the window end (the model's epoch limit guarantees
-    // it). Each shared component can also impose its own projection
-    // bound (e.g. MSHR headroom) for the whole window.
-    for (uint32_t i : sharedComps_) {
-        if (nextDue_[i] != kAsleep)
-            k = std::min(k, nextDue_[i] - cycle_);
-        Cycle bound = components_[i]->epochCycleBound(cycle_);
-        if (bound != kAsleep)
-            k = std::min(k, bound);
-    }
-    return k < 1 ? 1 : k;
-}
-
-void
-Simulator::runWindowSlice(uint32_t worker)
-{
-    const Cycle begin = winBegin_;
-    const Cycle end = winEnd_;
-    tl_epoch_end = end;
-    for (uint32_t shard = 0; shard < numShards_; ++shard) {
-        if (shardWorker_[shard] != worker)
-            continue;
-        const auto &comps = shardComps_[shard];
-        uint64_t busy_bits = 0;
-        for (Cycle c = begin; c < end; ++c) {
-            for (uint32_t i : comps) {
-                if (nextDue_[i] != c)
-                    continue;
-                runDue(i, static_cast<int>(shard), c);
-                tickedBits_[i] |= uint64_t{1} << (c - begin);
-            }
-            // Quiescence bit for the trim: the shard's state after its
-            // cycle-c slot. Sharded components only change busy() in
-            // their own ticks, so unticked members report their value as
-            // of their last tick <= c — exactly what the serial scan
-            // would observe after cycle c.
-            for (uint32_t i : comps) {
-                if (components_[i]->busy()) {
-                    busy_bits |= uint64_t{1} << (c - begin);
-                    break;
-                }
-            }
-        }
-        shardBusyBits_[shard] = busy_bits;
-    }
-    tl_epoch_end = 0;
-}
-
-Cycle
-Simulator::replayWindow(Cycle begin, Cycle end)
-{
-    // Per-shard cursors into the staged-wake buffers: each buffer is
-    // already sorted by (issue cycle, caller index, staging sequence) —
-    // a shard runs its window cycles in order and its components in
-    // registration order within a cycle — so the (cycle, caller) scan
-    // below consumes every buffer front-to-back.
-    std::vector<size_t> cursor(stagedWakes_.size(), 0);
-    Cycle settled = end;
-    tl_epoch_end = end;
-    for (Cycle c = begin; c < end; ++c) {
-        tl_cycle = c;
-        // One serial pass over the components in registration order:
-        // sharded positions deliver their staged messages (the wakes and
-        // component-buffer entries the component issued mid-tick at this
-        // cycle), shared positions tick if due — reproducing the serial
-        // kernels' in-order scan of cycle c exactly.
-        for (uint32_t i = 0; i < components_.size(); ++i) {
-            if (shardOf_[i] >= 0) {
-                auto &staged = stagedWakes_[shardOf_[i]];
-                size_t &cur = cursor[shardOf_[i]];
-                while (cur < staged.size() &&
-                       staged[cur].issueCycle == c &&
-                       staged[cur].callerIndex == i) {
-                    const StagedWake &w = staged[cur++];
-                    ReplayGuard guard(w.callerIndex);
-                    wake(components_[w.targetIndex], w.at, w.hint);
-                }
-                for (uint32_t s : sharedComps_)
-                    components_[s]->replayStagedFrom(c, i);
-            } else if (nextDue_[i] == c) {
-                runDue(i, kSharedShard, c);
-                tickedBits_[i] |= uint64_t{1} << (c - begin);
-            }
-        }
-        // Global quiescence check after cycle c: stop the replay at the
-        // cycle the serial kernels' run loops would have stopped
-        // stepping at. Later window cycles were no-op overshoot on the
-        // shards (contract rule 6); trimWindow() heals their consumed
-        // tick requests.
-        bool any_busy = false;
-        for (uint32_t i : sharedComps_) {
-            if (components_[i]->busy()) {
-                any_busy = true;
-                break;
-            }
-        }
-        uint64_t bit = uint64_t{1} << (c - begin);
-        if (!any_busy) {
-            for (uint64_t bits : shardBusyBits_) {
-                if (bits & bit) {
-                    any_busy = true;
-                    break;
-                }
-            }
-        }
-        if (!any_busy) {
-            settled = c + 1;
-            break;
-        }
-        serialBusyBits_ |= bit;
-    }
-    tl_epoch_end = 0;
-    // Anything still staged past the stop cycle would mean a sharded
-    // component did externally visible work after global quiescence —
-    // a contract-rule-6 violation.
-    for (uint32_t s = 0; s < stagedWakes_.size(); ++s) {
-        panic_if(cursor[s] != stagedWakes_[s].size(),
-                 "staged wakes survive the epoch window (shard %u): a "
-                 "component staged messages after global quiescence",
-                 s);
-        stagedWakes_[s].clear();
-    }
-    return settled;
-}
-
-void
-Simulator::trimWindow(Cycle begin, Cycle settle, Cycle end)
-{
-    // The serial kernels' run loops re-check quiescence after every
-    // processed cycle, so they never step past the first all-idle
-    // cycle; the window's parallel phase cannot know it and ran the
-    // shards through to `end`. Roll back to the settle point and
-    // re-insert the tick requests the overshoot ticks consumed: those
-    // ticks were no-ops here (rule 6), but with work dispatched by a
-    // later launch the serial kernels WILL run them for real — after
-    // healing, so will we.
-    if (settle < end) {
-        for (uint32_t i = 0; i < components_.size(); ++i) {
-            uint64_t bits = tickedBits_[i];
-            if (!bits)
-                continue;
-            for (Cycle c = settle; c < end; ++c) {
-                if (bits & (uint64_t{1} << (c - begin)))
-                    scheduleAt(i, c);
-            }
-        }
-    }
-    // Telemetry: the serial kernels process exactly the cycles where
-    // some component is due (every processed cycle ticks someone), and
-    // skip the rest.
-    uint64_t processed = 0;
-    for (Cycle c = begin; c < settle; ++c) {
-        uint64_t bit = uint64_t{1} << (c - begin);
-        for (uint32_t i = 0; i < components_.size(); ++i) {
-            if (tickedBits_[i] & bit) {
-                ++processed;
-                break;
-            }
-        }
-    }
-    cyclesTicked_ += processed;
-    cyclesSkipped_ += (settle - begin) - processed;
-}
-
-void
-Simulator::runEpochWindow(Cycle k)
-{
-    const Cycle begin = cycle_;
-    const Cycle end = begin + k;
-    winBegin_ = begin;
-    winEnd_ = end;
-    serialBusyBits_ = 0;
-    std::fill(tickedBits_.begin(), tickedBits_.end(), 0);
-    std::fill(shardBusyBits_.begin(), shardBusyBits_.end(), 0);
-    for (uint32_t i : sharedComps_)
-        components_[i]->beginEpochWindow(begin, end);
-    // Parallel phase: every shard runs the whole window against the
-    // window-entry snapshot of shared state; cross-shard effects are
-    // staged with their issue cycle.
-    if (threadsUsed_ > 1) {
-        curSeg_.store(kWindowSeg, std::memory_order_relaxed);
-        runPooled();
-    } else {
-        runWindowSlice(0);
-    }
-    // Serial phase: shared components tick and staged messages replay
-    // in (cycle, caller) order; stops at global quiescence.
-    Cycle settle = replayWindow(begin, end);
-    trimWindow(begin, settle, end);
-    for (uint32_t i : sharedComps_)
-        components_[i]->endEpochWindow();
-    winBegin_ = winEnd_ = 0;
-    cycle_ = settle;
-    // TraceSched went quiet during the window (timestamps inside it
-    // would not be monotonic across the trim); emit one settled sample
-    // per component now.
-    for (uint32_t i = 0; i < components_.size(); ++i)
-        syncSchedTrace(i);
-}
-
-void
-Simulator::rebalanceShards()
-{
-    if (kernel_ != Kernel::Threaded || threadsUsed_ <= 1 ||
-        shardCost_.size() != numShards_)
-        return;
-    // Greedy LPT on the measured per-shard tick counts: heaviest shard
-    // first onto the least-loaded worker (ties: lowest worker id), so a
-    // later run on this simulator — kernel fusion and the benches
-    // launch several — spreads hot shards across the pool. Purely a
-    // performance decision: results never depend on the assignment.
-    std::vector<uint32_t> order(numShards_);
-    for (uint32_t s = 0; s < numShards_; ++s)
-        order[s] = s;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return shardCost_[a] > shardCost_[b];
-                     });
-    std::vector<uint64_t> load(threadsUsed_, 0);
-    for (uint32_t s : order) {
-        uint32_t best = 0;
-        for (uint32_t w = 1; w < threadsUsed_; ++w) {
-            if (load[w] < load[best])
-                best = w;
-        }
-        shardWorker_[s] = best;
-        load[best] += shardCost_[s];
-    }
 }
 
 Cycle
@@ -1047,18 +246,6 @@ Simulator::advance(Cycle horizon)
     }
     cyclesSkipped_ += due - cycle_;
     cycle_ = due;
-    // Epoch batching hooks in here rather than in step(): the window
-    // length respects the caller's watchdog horizon, and direct step()
-    // callers (unit tests driving the clock by hand) keep strict
-    // per-cycle semantics.
-    if (kernel_ == Kernel::Threaded) {
-        finalizeShards();
-        Cycle k = epochWindowLength(horizon);
-        if (k > 1) {
-            runEpochWindow(k);
-            return true;
-        }
-    }
     step();
     return true;
 }
@@ -1092,9 +279,6 @@ Simulator::finishAccounting()
     for (auto *comp : components_)
         comp->catchUp(cycle_);
     flushTelemetry();
-    // Between runs is the one safe (and useful) point to rebalance: the
-    // pool is parked, and the cost counters now cover a full run.
-    rebalanceShards();
 }
 
 void

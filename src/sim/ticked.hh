@@ -9,7 +9,7 @@
  * cycle N is visible to the next stage in cycle N+1 at the earliest
  * (single-cycle queues between stages enforce this).
  *
- * The kernel comes in three flavours, selected per Simulator:
+ * The kernel comes in two flavours, selected per Simulator:
  *
  *  - Polling (the original kernel, kept as the reference implementation):
  *    every component ticks every cycle, whether or not it has work.
@@ -22,17 +22,6 @@
  *    workloads are memory-latency-bound by design, so most cycles most
  *    components are waiting on DRAM — the skip is where the wall-clock
  *    speedup comes from.
- *
- *  - Threaded: the event-driven kernel, with the per-cycle component scan
- *    sharded across a persistent worker pool. Components registered with
- *    a shard id (per-SM islands: core + accelerator) run concurrently
- *    within a cycle; components registered as kSharedShard (the memory
- *    system) run serially on the coordinator between the parallel
- *    segments, exactly where registration order places them. Cross-shard
- *    messages are staged per shard and drained at a cycle barrier in
- *    fixed SM-id/sequence order, so results are bit-identical to the
- *    serial kernels at any thread count (see DESIGN.md "Threaded
- *    simulation kernel").
  *
  * Event-driven correctness contract (see DESIGN.md "Event-driven
  * simulation kernel" for the full argument):
@@ -54,50 +43,13 @@
  *     wake settles the consumer's bulk accounting (catchUp) against the
  *     still-unmutated state, so skipped-cycle stats match polling's
  *     per-cycle observations bit for bit.
- *
- * Additional contract under the threaded kernel:
- *
- *  4. A component may touch, during its tick, only state owned by its own
- *     shard, read-only state that no other shard writes this cycle, and
- *     per-shard slots of shared components that are only consumed in a
- *     serial segment (e.g. an SM's private response queue).
- *  5. Messages to components in *other* shards must go through either
- *     the generic staged-wake path (wake() stages automatically when the
- *     target lives in another shard) or a component-level staging buffer
- *     replayed from drainStaged() (see mem::MemSystem). Both are drained
- *     at the barrier after the parallel segment, ordered by the caller's
- *     registration index, which equals SM id order for the machine model.
- *
- * Additional contract under epoch batching (K > 1; see DESIGN.md
- * "Epoch-batched barriers"):
- *
- *  6. A tick delivered to a component with no in-flight work (busy()
- *     false and nothing staged for it) must be externally side-effect
- *     free — no stat updates, no messages — and must not self-schedule
- *     beyond the next cycle. The epoch window may process such no-op
- *     ticks past the quiescence point the serial kernels stop at; the
- *     trim step re-inserts their consumed tick requests so a later
- *     launch replays them exactly as the serial kernels would.
- *  7. Shared-shard components must bound, via epochCycleBound(), how many
- *     cycles their externally visible behavior (acceptance decisions,
- *     response timing) can be projected from the window-entry state.
- *     The window length never exceeds that bound, the model's static
- *     epoch limit (Gpu: min(L1, L2) latency), or the distance to any
- *     shared component's next due tick — so shared components never miss
- *     a tick and per-shard projections (mem::MemSystem::canAccept) stay
- *     exact.
  */
 
 #ifndef TTA_SIM_TICKED_HH
 #define TTA_SIM_TICKED_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -111,9 +63,6 @@ using Cycle = uint64_t;
  * until an external event (a wake() from a producer) arrives.
  */
 inline constexpr Cycle kAsleep = ~Cycle{0};
-
-/** Shard id for components that run serially on the coordinator. */
-inline constexpr int kSharedShard = -1;
 
 class Simulator;
 
@@ -157,64 +106,6 @@ class TickedComponent
     virtual void catchUp(Cycle now) { (void)now; }
 
     /**
-     * Threaded kernel only: replay messages that per-SM shards staged
-     * into this component during the parallel segment that just
-     * finished. Called on shared-shard components, in registration
-     * order, at the barrier after each parallel segment; the override
-     * must replay its buffers in caller (SM id) order and wrap each
-     * replayed message in a Simulator::ReplayGuard so wake ordering
-     * resolves as if the original caller were still mid-tick. The no-op
-     * default suits components that receive no cross-shard messages.
-     */
-    virtual void drainStaged(Cycle now) { (void)now; }
-
-    /**
-     * Epoch-batched kernel only (shared-shard components): upper bound,
-     * evaluated at window entry, on how many cycles this component's
-     * externally visible behavior can be projected without ticking it.
-     * The window length K never exceeds the minimum over all shared
-     * components. The conservative default — one cycle while busy,
-     * unbounded while idle — disables batching for any shared component
-     * with in-flight work unless it overrides this with a real bound
-     * (mem::MemSystem bounds by free MSHR headroom).
-     */
-    virtual Cycle
-    epochCycleBound(Cycle cycle) const
-    {
-        (void)cycle;
-        return busy() ? 1 : kAsleep;
-    }
-
-    /**
-     * Epoch-batched kernel only: the window [begin, end) is starting.
-     * Shared-shard components snapshot whatever per-shard projection
-     * state their in-window acceptance decisions need (and reset their
-     * issue-cycle-tagged staging buffers). No-op default.
-     */
-    virtual void beginEpochWindow(Cycle begin, Cycle end)
-    {
-        (void)begin;
-        (void)end;
-    }
-
-    /** Epoch-batched kernel only: the window finished replaying. */
-    virtual void endEpochWindow() {}
-
-    /**
-     * Epoch-batched kernel only: replay, at window-replay cycle `cycle`,
-     * the messages caller `caller_index` staged into this component with
-     * issue cycle `cycle` during the window's parallel run. Called on
-     * shared-shard components for every (cycle, caller) pair in
-     * ascending (cycle, caller-registration-index) order, interleaved
-     * with the generic staged wakes of the same pair. No-op default.
-     */
-    virtual void replayStagedFrom(Cycle cycle, uint32_t caller_index)
-    {
-        (void)cycle;
-        (void)caller_index;
-    }
-
-    /**
      * Ask the owning simulator to tick this component at `at` (resolved
      * against same-cycle ordering; see Simulator::wake). No-op when the
      * component is not registered or the kernel is polling.
@@ -222,29 +113,8 @@ class TickedComponent
     void wake(Cycle at);
     /** wake() at the simulator's current cycle. */
     void wakeNow();
-    /**
-     * Advisory wake: like wake(), but carries no information a sleeping
-     * target strictly needs — any consumer genuinely waiting on the
-     * signalled condition must also self-schedule its own retry tick
-     * (e.g. a core refused by MemSystem::canAccept inside an epoch
-     * window retries at nextAcceptCycle()). During epoch-window replay
-     * a hint that resolves to a window cycle where the target never
-     * ticked is therefore dropped (the tick it would have caused is a
-     * stat-neutral no-op) instead of being treated as a rule-7
-     * violation. Use for broadcast "resource freed" edges that may
-     * target components which were never waiting.
-     */
-    void wakeHint(Cycle at);
 
     const std::string &name() const { return name_; }
-
-  protected:
-    /** Registration index of this component (tick order); 0 before
-     *  Simulator::add(). Shared components compare it against
-     *  Simulator::currentIndex() to tell earlier-ticking callers (cores)
-     *  from later-ticking ones (accelerators) when projecting in-window
-     *  behavior. */
-    uint32_t schedIndex() const { return schedIndex_; }
 
   private:
     friend class Simulator;
@@ -291,25 +161,18 @@ class Simulator
     {
         EventDriven, //!< sleep/wake scheduling, idle-cycle skipping
         Polling,     //!< tick everything every cycle (reference kernel)
-        Threaded,    //!< event-driven, per-SM shards behind a cycle barrier
     };
 
     explicit Simulator(StatRegistry &stats);
-    ~Simulator();
 
-    /**
-     * Register a component; tick order is registration order. `shard`
-     * assigns the component to a per-SM island (>= 0) the threaded
-     * kernel may run concurrently with other islands, or kSharedShard
-     * for components that must run serially on the coordinator. Shard
-     * ids are ignored by the serial kernels.
-     */
-    void add(TickedComponent *comp, int shard = kSharedShard);
+    /** Register a component; tick order is registration order. */
+    void add(TickedComponent *comp);
 
     /**
      * Kernel used when a Simulator does not choose explicitly:
-     * EventDriven, unless TTA_SIM_KERNEL=polling|threaded is set in the
-     * environment or a test/bench overrides it programmatically.
+     * EventDriven, unless TTA_SIM_KERNEL=polling is set in the
+     * environment or a test/bench overrides it programmatically. Any
+     * other TTA_SIM_KERNEL value is a fatal() naming the accepted ones.
      * (An env var rather than a Config field keeps configDigest — and
      * with it golden stats and run JSON — identical across kernels.)
      */
@@ -318,142 +181,8 @@ class Simulator
     /** Back to the environment-derived default. */
     static void resetDefaultKernel();
 
-    /**
-     * Worker threads the threaded kernel uses when a Simulator does not
-     * choose explicitly: the TTA_SIM_THREADS environment variable, a
-     * programmatic override (`--sim-threads` on the benches), or 0 for
-     * "auto" (hardware concurrency). The effective count is additionally
-     * clamped to the number of shards at first run. Kept out of Config
-     * (like the kernel choice) so configDigest — and with it golden
-     * stats and run JSON — is identical across thread counts.
-     */
-    static unsigned defaultSimThreads();
-    static void setDefaultSimThreads(unsigned threads);
-    /** Back to the environment-derived default. */
-    static void resetDefaultSimThreads();
-
-    /**
-     * Epoch size the threaded kernel uses when a Simulator does not
-     * choose explicitly: the TTA_SIM_EPOCH environment variable, a
-     * programmatic override (`--sim-epoch` on the benches), or 0 for
-     * "auto" (the machine model's setEpochLimit(), i.e. min(L1, L2)
-     * latency for the GPU). 1 disables batching (per-cycle barriers).
-     * Kept out of Config (like kernel and thread count) so configDigest
-     * — and with it golden stats and run JSON — is identical across
-     * epoch sizes.
-     */
-    static unsigned defaultSimEpoch();
-    static void setDefaultSimEpoch(unsigned epoch);
-    /** Back to the environment-derived default. */
-    static void resetDefaultSimEpoch();
-
-    /**
-     * std::thread::hardware_concurrency() with the standard-permitted
-     * 0 return mapped to 1, and an injectable test hook. Every probe in
-     * the simulator and runner goes through here so the zero-cores
-     * fallback (and the oversubscription spin guard) is testable.
-     */
-    static unsigned hardwareConcurrency();
-    /** Test hook: force hardwareConcurrency()'s raw probe value
-     *  (0 exercises the fallback); nullptr restores the real probe. */
-    static void setHardwareConcurrencyHookForTest(unsigned (*probe)());
-
-    /**
-     * Iterations a threaded-kernel participant spins before blocking on
-     * the barrier condvar: the TTA_SIM_SPIN environment variable, else
-     * 20000 on multi-core hosts and 0 on single-core ones. Per-run the
-     * effective budget is additionally forced to 0 when the pool is
-     * oversubscribed (threads > hardware cores) — spinning then only
-     * steals the cycles the other workers need.
-     */
-    static unsigned defaultSpinBudget();
-    /** Spin budget this simulator's barriers actually use (valid once
-     *  the threaded kernel has finalized; 0 before). */
-    unsigned effectiveSpinBudget() const { return spinBudget_; }
-
     void setKernel(Kernel kernel) { kernel_ = kernel; }
     Kernel kernel() const { return kernel_; }
-
-    /** Requested worker threads (0 = auto); effective only before the
-     *  first threaded cycle runs. */
-    void setSimThreads(unsigned threads) { threadsRequested_ = threads; }
-    /** Worker threads in use (1 until the threaded kernel finalizes). */
-    unsigned simThreads() const { return threadsUsed_; }
-
-    /** Requested epoch size for this simulator (0 = auto: the model's
-     *  setEpochLimit(); 1 = per-cycle barriers). */
-    void setSimEpoch(unsigned epoch) { epochRequested_ = epoch; }
-    unsigned simEpoch() const { return epochRequested_; }
-
-    /**
-     * Machine-model opt-in ceiling for epoch batching. The default (1)
-     * keeps per-cycle barriers: only a model that has audited its
-     * components against contract rules 6-7 may raise it. The GPU model
-     * sets min(l1LatencyCycles, l2LatencyCycles): any in-window request
-     * is only reacted to (pops aside) at least one full L1 latency
-     * later, i.e. after the window ends, which is what keeps the
-     * per-shard acceptance projections exact.
-     */
-    void setEpochLimit(Cycle limit) { epochLimit_ = limit ? limit : 1; }
-    Cycle epochLimit() const { return epochLimit_; }
-
-    /**
-     * True while the machine model's run loop still has undispatched
-     * work it hands out between simulator advances. Warp dispatch is
-     * dynamically load-balanced (free-slot scans), so its timing must
-     * not shift: epoch windows are suppressed (K = 1) while pending.
-     */
-    void setDispatchPending(bool pending) { dispatchPending_ = pending; }
-
-    /**
-     * Cycle the calling thread's in-progress tick (or staged-message
-     * replay) is executing at; only meaningful while a tick or replay is
-     * in progress (like currentIndex). Inside an epoch window the global
-     * clock parks at the window start while shards run ahead, so in-tick
-     * code must use this, never cycle(), for "now".
-     */
-    static Cycle currentTickCycle();
-    /**
-     * End (exclusive) of the epoch window the calling thread is running
-     * or replaying under; 0 when outside a window (K = 1 paths). Lets
-     * components choose window-only behavior (e.g. a core re-arming its
-     * own retry tick on back-pressure instead of relying on the memory
-     * system's wake).
-     */
-    static Cycle currentEpochEnd();
-
-    /**
-     * Shard of the component the *current thread* is ticking: >= 0 while
-     * a worker (or the coordinator inlining a parallel segment) runs a
-     * sharded component, -1 otherwise (serial kernels, serial segments,
-     * between cycles, replay). Components use this to decide whether to
-     * stage cross-shard messages (see mem::MemSystem::sendRequest).
-     */
-    static int currentShard();
-    /** Registration index of the component the current thread is
-     *  ticking; only meaningful while a tick or replay is in progress. */
-    static uint32_t currentIndex();
-
-    /**
-     * RAII guard for replaying a staged cross-shard message at the
-     * barrier: makes wake ordering (and nested sendRequest calls)
-     * resolve as if component `caller_index` were still mid-tick on the
-     * coordinator, exactly as the serial kernels would have resolved the
-     * original call.
-     */
-    class ReplayGuard
-    {
-      public:
-        explicit ReplayGuard(uint32_t caller_index);
-        ~ReplayGuard();
-        ReplayGuard(const ReplayGuard &) = delete;
-        ReplayGuard &operator=(const ReplayGuard &) = delete;
-
-      private:
-        int savedShard_;
-        bool savedInTick_;
-        uint32_t savedIndex_;
-    };
 
     /**
      * Watchdog limit used by runToQuiescence() when the caller passes 0;
@@ -523,15 +252,8 @@ class Simulator
      * producer-before-consumer visibility. Settles the target's bulk
      * accounting (catchUp) before the caller mutates shared state.
      * No-op under the polling kernel (everything ticks anyway).
-     *
-     * Threaded kernel: a wake whose target lives in a different shard
-     * than the calling thread's is staged and replayed at the barrier
-     * after the parallel segment, in caller registration order. A
-     * staged wake that resolves to the current cycle but targets a
-     * segment that already ran is a model bug (it could never be
-     * delivered the way the serial kernels would) and panics.
      */
-    void wake(TickedComponent *comp, Cycle at, bool hint = false);
+    void wake(TickedComponent *comp, Cycle at);
 
     /** Components currently scheduled for a future tick. */
     uint32_t awakeComponents() const;
@@ -548,29 +270,6 @@ class Simulator
     }
 
   private:
-    /** A maximal run of same-kind components in registration order. */
-    struct Segment
-    {
-        uint32_t begin;
-        uint32_t end;
-        bool parallel; //!< all members have shard >= 0
-    };
-
-    /** A cross-shard wake captured mid-segment, replayed at the barrier.
-     *  issueCycle tags the cycle the caller was ticking when it staged
-     *  the wake: the epoch replay delivers wakes in (issueCycle,
-     *  callerIndex, staging sequence) order; at K = 1 every entry's
-     *  issueCycle equals the current cycle and the order reduces to the
-     *  per-cycle kernel's (callerIndex, sequence). */
-    struct StagedWake
-    {
-        uint32_t callerIndex;
-        uint32_t targetIndex;
-        Cycle at;
-        Cycle issueCycle;
-        bool hint; //!< advisory (wakeHint): droppable during replay
-    };
-
     void scheduleAt(uint32_t index, Cycle at);
     /** Earliest due cycle across all components; kAsleep if nothing is
      *  scheduled. A linear scan: the component count is tiny (cores +
@@ -581,56 +280,20 @@ class Simulator
     void syncSchedTrace(uint32_t index);
     void flushTelemetry();
 
-    /** Consume component `index`'s request for cycle `c` and tick it,
-     *  with the thread-local tick context set to `shard` / `c`. */
-    void runDue(uint32_t index, int shard, Cycle c);
-    /** One processed cycle under the threaded kernel (K = 1 path). */
-    void stepThreaded();
-    /** Run one parallel segment (inline or across the pool) and drain. */
-    void runParallelSegment(uint32_t seg);
-    /** Tick worker `worker`'s due components within segment `seg`. */
-    void runWorkerSlice(uint32_t seg, uint32_t worker);
-    /** Replay staged wakes + component staging buffers after `seg`. */
-    void drainSegment(uint32_t seg);
-    /** Derive segments/shard maps and size the pool; idempotent. */
-    void finalizeShards();
-    void workerLoop(uint32_t worker);
-    void stopWorkers();
-    /** Release the pool and run `fn` as worker 0; returns after every
-     *  worker finished its slice. `fn` is dispatched by generation: the
-     *  current window/segment mode is read from epochActive_. */
-    void runPooled();
-
-    // Epoch-batched window machinery (K > 1; see DESIGN.md).
-    /** Effective window length at the current cycle, honoring the
-     *  requested size, the model limit, shared-component due cycles and
-     *  epochCycleBound()s, pending dispatch, and `horizon`. */
-    Cycle epochWindowLength(Cycle horizon) const;
-    /** Run the window [cycle_, cycle_ + k): shards ahead in parallel,
-     *  then serial replay, then quiescence trim. */
-    void runEpochWindow(Cycle k);
-    /** Worker `worker`'s shards, all window cycles, in cycle-major
-     *  component order. */
-    void runWindowSlice(uint32_t worker);
-    /** Serial part of the window: shared-component ticks interleaved
-     *  with staged wakes / component staging buffers in (cycle, caller)
-     *  order. Returns the cycle the clock settles at: one past the
-     *  first globally idle cycle (where the serial run loops stop), or
-     *  `end`. */
-    Cycle replayWindow(Cycle begin, Cycle end);
-    /** Trim the window at global quiescence: re-insert tick requests
-     *  the overshoot cycles [settle, end) consumed, so a later launch
-     *  replays them like the serial kernels would, and account
-     *  processed/skipped cycles for [begin, settle). */
-    void trimWindow(Cycle begin, Cycle settle, Cycle end);
-    /** Greedy LPT reassignment of shards to workers by measured cost. */
-    void rebalanceShards();
+    /** Consume component `index`'s request for the current cycle and
+     *  tick it, with the tick context (inTick_, tickIndex_) set. */
+    void runDue(uint32_t index);
 
     StatRegistry *stats_;
     std::vector<TickedComponent *> components_;
     Cycle cycle_ = 0;
     Kernel kernel_;
     Cycle watchdog_;
+
+    // Tick context for wake ordering: which component, if any, is
+    // ticking right now (rule 3 resolves same-cycle wakes against it).
+    bool inTick_ = false;
+    uint32_t tickIndex_ = 0;
 
     // Event-driven state. Every wake / self-schedule is a firm tick
     // request in pending_ (sorted, unique, usually 1-2 entries); a tick
@@ -640,70 +303,6 @@ class Simulator
     // and for nextDueCycle()'s min reduction.
     std::vector<Cycle> nextDue_;
     std::vector<std::vector<Cycle>> pending_;
-
-    // Threaded-kernel state. Built by finalizeShards() on the first
-    // processed cycle; immutable while workers run. Workers only write
-    // state owned by their shards (per-index entries of nextDue_ /
-    // pending_ / traceAwake_ and their own stagedWakes_ slot), so the
-    // only synchronization is the segment barrier itself.
-    std::vector<int> shardOf_;       //!< per component; -1 = shared
-    std::vector<uint32_t> segOf_;    //!< per component; segment ordinal
-    std::vector<Segment> segments_;
-    std::vector<std::vector<StagedWake>> stagedWakes_; //!< per shard
-    std::vector<StagedWake> mergedWakes_; //!< drain/replay scratch
-    uint32_t numShards_ = 0;
-    unsigned threadsRequested_;      //!< 0 = auto (hardware concurrency)
-    unsigned threadsUsed_ = 1;
-    bool finalized_ = false;
-    int drainSeg_ = -1; //!< segment being drained; -1 outside drains
-    unsigned spinBudget_ = 0; //!< effective barrier spin (finalizeShards)
-
-    // Epoch-batched window state (valid while a window runs/replays).
-    unsigned epochRequested_;   //!< 0 = auto (model limit); 1 = off
-    Cycle epochLimit_ = 1;      //!< model opt-in ceiling (setEpochLimit)
-    bool dispatchPending_ = false;
-    Cycle winBegin_ = 0;
-    Cycle winEnd_ = 0;          //!< 0 = no window active
-    /** Per component: bit (c - winBegin_) set if it ticked at window
-     *  cycle c. Written only by the owning worker during the parallel
-     *  run (shard comps) or the coordinator during replay (shared
-     *  comps); read by the replay's early-wake filter and the trim. */
-    std::vector<uint64_t> tickedBits_;
-    /** Per shard / per shared component: bit c set if any member was
-     *  busy() after its cycle-c tick slot — the trim's quiescence scan. */
-    std::vector<uint64_t> shardBusyBits_;
-    uint64_t serialBusyBits_ = 0;
-    /** Per shard: components in registration order (the slice loop). */
-    std::vector<std::vector<uint32_t>> shardComps_;
-    /** Shared components' registration indices, in order. */
-    std::vector<uint32_t> sharedComps_;
-
-    // Measured-cost rebalancing: runDue accumulates an approximate tick
-    // cost per shard; finishAccounting() reassigns shards to workers by
-    // greedy LPT on the observed costs, so a later run (kernel fusion /
-    // multi-launch benches) spreads hot shards across the pool. Purely a
-    // performance decision: results never depend on the assignment.
-    std::vector<uint32_t> shardWorker_;  //!< shard -> worker
-    std::vector<uint64_t> shardCost_;    //!< ticks run per shard
-
-    // Worker pool (threadsUsed_ - 1 threads; the coordinator is worker
-    // 0). Release/join are generation-counted: the coordinator bumps
-    // goGen_ under poolMutex_ (so condvar waits cannot miss it), workers
-    // run their slice of curSeg_ and count into doneCount_. A short
-    // spin precedes each condvar wait on multi-core hosts.
-    std::vector<std::thread> workers_;
-    std::atomic<uint64_t> goGen_{0};
-    std::atomic<uint32_t> doneCount_{0};
-    std::atomic<uint32_t> curSeg_{0};
-    bool stopPool_ = false; //!< written under poolMutex_
-    std::mutex poolMutex_;
-    std::condition_variable poolCv_; //!< coordinator -> workers
-    std::condition_variable doneCv_; //!< last worker -> coordinator
-    //! First exception thrown on a worker's slice this release (written
-    //! under poolMutex_); the coordinator rethrows it after the join so
-    //! fatal()s inside worker ticks propagate exactly like the serial
-    //! kernels' instead of terminating the process.
-    std::exception_ptr poolError_;
 
     uint64_t cyclesTicked_ = 0;
     uint64_t cyclesSkipped_ = 0;

@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "sim/logging.hh"
-#include "sim/ticked.hh"
 
 namespace tta::sim {
 
@@ -76,24 +75,6 @@ traceCategoryName(TraceCategory cat)
     }
 }
 
-void
-TraceStream::checkShard()
-{
-    int shard = Simulator::currentShard();
-    if (shard < 0)
-        return; // coordinator / serial kernels: no ownership to enforce
-    int expected = kUnbound;
-    if (ownerShard_.compare_exchange_strong(expected, shard,
-                                            std::memory_order_relaxed))
-        return; // first sharded push binds the stream
-    if (expected == shard)
-        return;
-    panic("trace stream '%s' shared across shards %d and %d; give each "
-          "shard its own stream (streams are single-writer under the "
-          "threaded kernel)",
-          name_.c_str(), expected, shard);
-}
-
 std::vector<TraceEvent>
 TraceStream::snapshot() const
 {
@@ -147,8 +128,7 @@ Tracer::writeEvents(std::ostream &os, uint32_t pid,
 
     // Streams export in name order (streams_ is an ordered map) with
     // tids renumbered sequentially, so the document does not depend on
-    // creation order — under the threaded kernel, lazily-created streams
-    // (per-warp spans) can be created by any worker in any interleaving.
+    // the order lazily-created streams (per-warp spans) were created in.
     std::lock_guard<std::mutex> lock(mutex_);
     uint32_t tid = 0;
     for (const auto &kv : streams_) {

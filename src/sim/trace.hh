@@ -22,37 +22,22 @@
  *     overwrites its oldest events and counts the drops; export keeps
  *     the newest window and repairs any B/E pairs the drops split.
  *  3. One Tracer per run. Under `--jobs N` every job gets its own Tracer
- *     and file, so jobs never share trace state. Within a run, the
- *     threaded simulation kernel may tick components on several worker
- *     threads: stream creation is mutex-protected (streams are created
- *     lazily mid-run), each stream stays single-writer because a stream
- *     belongs to exactly one component and a component to exactly one
- *     shard — a stream records the first shard that pushes to it and
- *     panics if a different shard pushes later — and export renumbers
- *     tids in stream-name order, so the exported document is identical
- *     regardless of which thread created which stream first.
+ *     and file, so jobs never share trace state. Stream creation is
+ *     mutex-protected (streams are created lazily mid-run), each stream
+ *     is single-writer because it belongs to exactly one component, and
+ *     export renumbers tids in stream-name order, so the exported
+ *     document does not depend on stream creation order.
  *
  * Wiring: a run attaches its Tracer to the run's StatRegistry
  * (StatRegistry::setTracer) before constructing the machine model;
  * components pick their streams up from the registry they already
  * receive. sim::ExperimentRunner does the attach automatically for
  * jobs that carry a tracer (Job::tracer).
- *
- * Epoch-batched windows (sim/ticked.hh): component-emitted events carry
- * the cycle the component actually ticked at, so TraceWarp/TraceRta/
- * TracePipe/TraceMem/TraceOp streams are unaffected by batching. The
- * scheduler's own TraceSched occupancy samples are the one exception —
- * mid-window samples could go backwards across a trimmed overshoot, so
- * the simulator suppresses them inside a window and emits one settled
- * sample per component at each epoch barrier. TraceSched under the
- * threaded kernel is therefore epoch-granular; run with --sim-epoch=1
- * for per-cycle scheduler samples.
  */
 
 #ifndef TTA_SIM_TRACE_HH
 #define TTA_SIM_TRACE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -148,7 +133,6 @@ class TraceStream
     void
     push(const TraceEvent &ev)
     {
-        checkShard();
         ring_[head_] = ev;
         head_ = (head_ + 1) % ring_.size();
         if (size_ < ring_.size())
@@ -157,12 +141,6 @@ class TraceStream
             ++dropped_;
     }
 
-    /** Enforce the one-shard-per-stream rule under the threaded kernel:
-     *  binds the stream to the first shard that pushes, panics if a
-     *  different shard pushes later. Coordinator pushes (serial kernels,
-     *  serial segments, barrier replay, dispatch) are always allowed. */
-    void checkShard();
-
     std::string name_;
     uint32_t tid_;
     TraceCategory cat_;
@@ -170,8 +148,6 @@ class TraceStream
     size_t head_ = 0;
     size_t size_ = 0;
     uint64_t dropped_ = 0;
-    std::atomic<int> ownerShard_{kUnbound};
-    static constexpr int kUnbound = -2; //!< no shard has pushed yet
 };
 
 /**
@@ -235,8 +211,10 @@ class Tracer
   private:
     uint32_t mask_;
     size_t ringCapacity_;
-    /** Guards streams_: the threaded kernel creates streams lazily from
-     *  worker threads (e.g. per-warp streams on first dispatch). */
+    /** Guards streams_: streams are created lazily mid-run (e.g.
+     *  per-warp streams on first dispatch), and one Tracer may be
+     *  shared by simulations on several host threads (DeviceGroup
+     *  staging workers). */
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<TraceStream>> streams_;
     uint32_t nextTid_ = 1;

@@ -8,6 +8,11 @@
  * value, a vanished stat, a new stat — fails with a precise message, so
  * unintended perturbations of the timing model show up immediately.
  *
+ * Each snapshot is replayed under the default event kernel
+ * (GoldenStats), under the polling reference kernel (GoldenStatsPolling)
+ * and as concurrent copies on an ExperimentRunner worker pool
+ * (GoldenStatsThreaded), as `--jobs` sweeps run them.
+ *
  * Intentional model changes regenerate the snapshots:
  *
  *     TTA_UPDATE_GOLDEN=1 ./test_golden
@@ -23,8 +28,10 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "json_lite.hh"
+#include "sim/runner.hh"
 #include "sim/ticked.hh"
 #include "workloads/btree_workload.hh"
 #include "workloads/nbody_workload.hh"
@@ -178,6 +185,9 @@ expectMatchesGolden(const GoldenCase &gc, const RunMetrics &m,
 class GoldenStats : public ::testing::TestWithParam<size_t>
 {};
 
+class GoldenStatsPolling : public ::testing::TestWithParam<size_t>
+{};
+
 class GoldenStatsThreaded : public ::testing::TestWithParam<size_t>
 {};
 
@@ -206,22 +216,60 @@ INSTANTIATE_TEST_SUITE_P(Configs, GoldenStats,
                              return std::string(kCases[info.param].name);
                          });
 
-// The same snapshots must hold under the threaded kernel: the per-SM
-// shards, barrier replay and shadow-registry merge may not move a single
-// counter relative to the serial kernels the snapshots were taken under.
-TEST_P(GoldenStatsThreaded, MatchesSnapshot)
+// The snapshots were recorded under the polling reference kernel, and
+// GoldenStats replays them under the default event kernel; replaying
+// them under polling too keeps every golden config (TTA+, N-Body, the
+// wide and SoA layouts) under a polling-vs-event check.
+TEST_P(GoldenStatsPolling, MatchesSnapshot)
 {
     if (std::getenv("TTA_UPDATE_GOLDEN"))
         GTEST_SKIP() << "snapshots regenerate under the default kernel";
     const GoldenCase &gc = kCases[GetParam()];
-    sim::Simulator::setDefaultKernel(sim::Simulator::Kernel::Threaded);
-    sim::Simulator::setDefaultSimThreads(4);
+    sim::Simulator::setDefaultKernel(sim::Simulator::Kernel::Polling);
     sim::StatRegistry stats;
     RunMetrics m = gc.run(stats);
     sim::Simulator::resetDefaultKernel();
-    sim::Simulator::resetDefaultSimThreads();
     std::string current = snapshotJson(gc.name, m, stats);
     expectMatchesGolden(gc, m, current);
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, GoldenStatsPolling,
+                         ::testing::Range<size_t>(0, std::size(kCases)),
+                         [](const auto &info) {
+                             return std::string(kCases[info.param].name);
+                         });
+
+// Run-level parallelism (ExperimentRunner, --jobs) must not perturb a
+// run: copies of each golden config run side by side on a worker pool,
+// each with its private registry, and every copy must still reproduce
+// the snapshot. Any mutable state shared between simulations would show
+// up here as drift (or as a data race under TSan).
+TEST_P(GoldenStatsThreaded, MatchesSnapshot)
+{
+    if (std::getenv("TTA_UPDATE_GOLDEN"))
+        GTEST_SKIP() << "snapshots regenerate under GoldenStats";
+    const GoldenCase &gc = kCases[GetParam()];
+    constexpr size_t kCopies = 3;
+    std::vector<RunMetrics> metrics(kCopies);
+    std::vector<sim::Job> jobs(kCopies);
+    for (size_t i = 0; i < kCopies; ++i) {
+        jobs[i].name = std::string(gc.name) + "/copy" + std::to_string(i);
+        jobs[i].fn = [&gc, &m = metrics[i]](const sim::Config &,
+                                            sim::StatRegistry &stats,
+                                            sim::RunRecord &rec) {
+            m = gc.run(stats);
+            rec.cycles = m.cycles;
+        };
+    }
+    auto records = sim::ExperimentRunner(kCopies).run(jobs);
+    ASSERT_EQ(records.size(), kCopies);
+    for (size_t i = 0; i < kCopies; ++i) {
+        SCOPED_TRACE(records[i].name);
+        ASSERT_FALSE(records[i].failed()) << records[i].error;
+        expectMatchesGolden(
+            gc, metrics[i],
+            snapshotJson(gc.name, metrics[i], records[i].stats));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, GoldenStatsThreaded,

@@ -81,8 +81,24 @@ struct BinCase
     uint32_t (*expect)(uint32_t, uint32_t);
 };
 
+/** Prints a case as its mnemonic. gtest's default is a byte dump that
+ *  includes pointers, and the ctest ID carries the printed value, so
+ *  the IDs would change with every build. */
+void
+PrintTo(const BinCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class BinaryOps : public ::testing::TestWithParam<BinCase>
 {};
+
+/** Names each case after its mnemonic (iadd, fadd, ...). */
+static std::string
+binCaseName(const ::testing::TestParamInfo<BinCase> &info)
+{
+    return info.param.name;
+}
 
 TEST_P(BinaryOps, MatchesHostSemantics)
 {
@@ -136,7 +152,8 @@ INSTANTIATE_TEST_SUITE_P(
                     return static_cast<uint32_t>(
                         std::min(static_cast<int32_t>(a),
                                  static_cast<int32_t>(b)));
-                }}));
+                }}),
+    binCaseName);
 
 INSTANTIATE_TEST_SUITE_P(
     Float, BinaryOps,
@@ -172,7 +189,8 @@ INSTANTIATE_TEST_SUITE_P(
         BinCase{Opcode::SetLeF, "setlef",
                 [](uint32_t a, uint32_t b) -> uint32_t {
                     return u2f(a) <= u2f(b);
-                }}));
+                }}),
+    binCaseName);
 
 TEST(IsaSemantics, UnaryAndImmediateOps)
 {

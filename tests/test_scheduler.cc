@@ -8,13 +8,17 @@
  * visibility by registration order, re-arming, the sleep-while-woken
  * race — and the randomized lockstep oracle runs the same seeded network
  * of chattering nodes under both kernels, requiring identical event logs
- * and cycle counts across many seeds. A final workload-level test runs a
- * real simulation under both kernels and diffs the entire stat dump.
+ * and cycle counts across many seeds. Workload-level tests run real
+ * simulations under both kernels and diff the entire stat dump, one of
+ * them with the L1 input queues saturated. A death test pins that an
+ * unknown TTA_SIM_KERNEL name is a named fatal().
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -23,10 +27,12 @@
 #include <vector>
 
 #include "sim/config.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/ticked.hh"
 #include "workloads/btree_workload.hh"
+#include "workloads/raytracing_workload.hh"
 
 using namespace ::tta::sim;
 namespace workloads = ::tta::workloads;
@@ -372,4 +378,50 @@ TEST(SchedulerOracle, WorkloadStatsBitIdenticalToPolling)
         EXPECT_EQ(polling.stats, event.stats)
             << (accelerated ? "tta" : "baseline") << " stat dump diverged";
     }
+}
+
+// The Sponza ambient-occlusion scene on baseline cores fills the L1
+// input queues to their depth limit, so cores are refused by
+// MemSystem::canAccept and sleep until the memory system's
+// back-pressure wake. That edge only exists under the event kernel;
+// polling must agree with it bit for bit.
+TEST(SchedulerOracle, QueueSaturatedWorkloadBitIdenticalToPolling)
+{
+    auto run = [](Simulator::Kernel kernel) {
+        Simulator::setDefaultKernel(kernel);
+        StatRegistry stats;
+        workloads::RayTracingWorkload wl(workloads::SceneKind::SponzaAo,
+                                         16, 16, 2);
+        Config cfg;
+        cfg.accelMode = AccelMode::BaselineGpu;
+        workloads::RunMetrics m = wl.runBaselineCores(cfg, stats);
+        Simulator::resetDefaultKernel();
+        return WorkloadRun{m.cycles, stats.dumpString()};
+    };
+    WorkloadRun polling = run(Simulator::Kernel::Polling);
+    WorkloadRun event = run(Simulator::Kernel::EventDriven);
+    EXPECT_EQ(polling.cycles, event.cycles);
+    EXPECT_EQ(polling.stats, event.stats);
+}
+
+// An unknown kernel name, such as a stale TTA_SIM_KERNEL=threaded, must
+// fail by name and list the kernels that exist. The environment is read
+// once per process, so the check runs in a re-executed child.
+TEST(SchedulerDeathTest, UnknownKernelNameIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    setenv("TTA_SIM_KERNEL", "threaded", 1);
+    EXPECT_EXIT(
+        {
+            try {
+                Simulator::defaultKernel();
+            } catch (const FatalError &e) {
+                std::fprintf(stderr, "%s\n", e.what());
+                std::exit(2);
+            }
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(2),
+        "TTA_SIM_KERNEL must be 'event' or 'polling', got 'threaded'");
+    unsetenv("TTA_SIM_KERNEL");
 }

@@ -4,10 +4,11 @@
  * (service/service.hh):
  *
  *  - determinism: one small multi-tenant service config replayed under
- *    every simulation kernel (event-driven, polling, threaded x2/x4)
- *    and through a parallel ExperimentRunner must reproduce the batch
- *    log, every latency histogram and the whole stat registry
- *    bit-for-bit,
+ *    both simulation kernels (event-driven, polling) and through a
+ *    parallel ExperimentRunner must reproduce the batch log, every
+ *    latency histogram and the whole stat registry bit-for-bit,
+ *  - DeviceGroup start-up and shutdown with pipelined staging workers
+ *    (the race detector's case for the worker hand-off),
  *  - a golden-stat snapshot of that config (tests/golden/
  *    service_small.json, TTA_UPDATE_GOLDEN=1 regenerates),
  *  - admission behavior against hand-written traces: full-batch
@@ -115,7 +116,7 @@ maxBatchDuration(const ServiceReport &rep)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Determinism across simulation kernels and thread counts.
+// Determinism across simulation kernels and runner threads.
 // ---------------------------------------------------------------------
 
 TEST(ServiceDeterminism, KernelsAndThreadCounts)
@@ -126,31 +127,16 @@ TEST(ServiceDeterminism, KernelsAndThreadCounts)
     std::string refOracle = oracleString(ref);
     std::string refDump = refStats.dumpString();
 
-    struct Variant
-    {
-        const char *name;
-        sim::Simulator::Kernel kernel;
-        unsigned simThreads;
-    };
-    const Variant variants[] = {
-        {"polling", sim::Simulator::Kernel::Polling, 1},
-        {"threaded/2", sim::Simulator::Kernel::Threaded, 2},
-        {"threaded/4", sim::Simulator::Kernel::Threaded, 4},
-    };
-    for (const Variant &v : variants) {
-        sim::Simulator::setDefaultKernel(v.kernel);
-        sim::Simulator::setDefaultSimThreads(v.simThreads);
-        sim::StatRegistry stats;
-        ServiceReport rep = runSmallService(serviceConfig(), stats);
-        sim::Simulator::resetDefaultKernel();
-        sim::Simulator::resetDefaultSimThreads();
+    sim::Simulator::setDefaultKernel(sim::Simulator::Kernel::Polling);
+    sim::StatRegistry stats;
+    ServiceReport rep = runSmallService(serviceConfig(), stats);
+    sim::Simulator::resetDefaultKernel();
 
-        EXPECT_EQ(oracleString(rep), refOracle)
-            << v.name << ": batch log / latency histograms diverged";
-        EXPECT_EQ(stats.dumpString(), refDump)
-            << v.name << ": stat registry diverged";
-        EXPECT_EQ(rep.makespan, ref.makespan) << v.name;
-    }
+    EXPECT_EQ(oracleString(rep), refOracle)
+        << "polling: batch log / latency histograms diverged";
+    EXPECT_EQ(stats.dumpString(), refDump)
+        << "polling: stat registry diverged";
+    EXPECT_EQ(rep.makespan, ref.makespan) << "polling";
 }
 
 TEST(ServiceDeterminism, ParallelRunnerJobs)
@@ -177,6 +163,20 @@ TEST(ServiceDeterminism, ParallelRunnerJobs)
     for (const auto &rec : records) {
         ASSERT_FALSE(rec.failed()) << rec.error;
         EXPECT_EQ(rec.stats.dumpString(), refDump) << rec.name;
+    }
+}
+
+// A pipelined group starts one staging worker per device while it is
+// still being built; every worker must see a fully built group.
+// Repeated build/destroy cycles give the race detector several
+// start-ups and shutdowns to check.
+TEST(DeviceGroupLifecycle, PipelinedStartAndStop)
+{
+    for (int round = 0; round < 3; ++round) {
+        DeviceGroup group(serviceConfig(), 4, /*pipelined=*/true);
+        ASSERT_EQ(group.size(), 4u);
+        EXPECT_TRUE(group.pipelined());
+        group.drain();
     }
 }
 

@@ -4,7 +4,7 @@
  * (service/service.hh on a service/device_group.hh group):
  *
  *  - the full determinism matrix: devices {1, 2, 4} x simulation
- *    kernels {event-driven, threaded} x staging {pipelined, serial}
+ *    kernels {event-driven, polling} x staging {pipelined, serial}
  *    must agree bit-for-bit on the global batch log, every per-device
  *    batch log, every latency histogram and the whole stat registry,
  *  - the same matrix again per scheduling policy (size / affinity /
@@ -154,16 +154,12 @@ TEST(ServiceMultiDevice, DeterminismMatrix)
     {
         const char *name;
         sim::Simulator::Kernel kernel;
-        unsigned simThreads;
         bool pipelined;
     };
     const Variant variants[] = {
-        {"event/serial", sim::Simulator::Kernel::EventDriven, 1,
-         false},
-        {"threaded2/pipelined", sim::Simulator::Kernel::Threaded, 2,
-         true},
-        {"threaded2/serial", sim::Simulator::Kernel::Threaded, 2,
-         false},
+        {"event/serial", sim::Simulator::Kernel::EventDriven, false},
+        {"polling/pipelined", sim::Simulator::Kernel::Polling, true},
+        {"polling/serial", sim::Simulator::Kernel::Polling, false},
     };
 
     for (uint32_t devices : {1u, 2u, 4u}) {
@@ -191,12 +187,10 @@ TEST(ServiceMultiDevice, DeterminismMatrix)
 
         for (const Variant &v : variants) {
             sim::Simulator::setDefaultKernel(v.kernel);
-            sim::Simulator::setDefaultSimThreads(v.simThreads);
             sim::StatRegistry stats;
             ServiceReport rep = runMultidevService(
                 serviceConfig(), stats, devices, v.pipelined);
             sim::Simulator::resetDefaultKernel();
-            sim::Simulator::resetDefaultSimThreads();
 
             EXPECT_EQ(oracleString(rep), refOracle)
                 << devices << " devices, " << v.name
@@ -221,16 +215,12 @@ TEST(ServiceMultiDevice, DeterminismMatrixPolicies)
     {
         const char *name;
         sim::Simulator::Kernel kernel;
-        unsigned simThreads;
         bool pipelined;
     };
     const Variant variants[] = {
-        {"event/serial", sim::Simulator::Kernel::EventDriven, 1,
-         false},
-        {"threaded2/pipelined", sim::Simulator::Kernel::Threaded, 2,
-         true},
-        {"threaded2/serial", sim::Simulator::Kernel::Threaded, 2,
-         false},
+        {"event/serial", sim::Simulator::Kernel::EventDriven, false},
+        {"polling/pipelined", sim::Simulator::Kernel::Polling, true},
+        {"polling/serial", sim::Simulator::Kernel::Polling, false},
     };
 
     for (SchedPolicy pol :
@@ -257,12 +247,10 @@ TEST(ServiceMultiDevice, DeterminismMatrixPolicies)
 
         for (const Variant &v : variants) {
             sim::Simulator::setDefaultKernel(v.kernel);
-            sim::Simulator::setDefaultSimThreads(v.simThreads);
             sim::StatRegistry stats;
             ServiceReport rep = runMultidevService(
                 serviceConfig(), stats, 2, v.pipelined, pol);
             sim::Simulator::resetDefaultKernel();
-            sim::Simulator::resetDefaultSimThreads();
 
             EXPECT_EQ(oracleString(rep), refOracle)
                 << schedPolicyName(pol) << ", " << v.name
