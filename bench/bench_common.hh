@@ -36,16 +36,20 @@
 
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -108,7 +112,10 @@ struct Args
  * from the registrations (so it can never drift from the accepted
  * flags), and unknown flags exit 64, the usage exit code.
  *
- * Value flags accept both `--name=V` and `--name V`.
+ * Value flags accept both `--name=V` and `--name V`. Numeric values are
+ * strict: an empty value, trailing characters, a sign on an unsigned
+ * flag or a value out of the field's range exits 64 with a message
+ * that names the flag and the value.
  */
 class FlagSet
 {
@@ -120,23 +127,36 @@ class FlagSet
     {
     }
 
-    /** Integer flag: --name=N (or --name N). */
+    /** Unsigned integer flag: --name=N (or --name N). */
     template <class T>
     void
     number(const char *name, T &field, const char *help)
     {
-        add(name, Arity::Required, help, [&field](const std::string &v) {
-            field = static_cast<T>(std::strtoull(v.c_str(), nullptr, 10));
-        });
+        static_assert(std::is_unsigned_v<T>);
+        std::string flag_name = std::string("--") + name;
+        add(name, Arity::Required, help,
+            [&field, flag_name](const std::string &v) {
+                field = static_cast<T>(parseUnsigned(
+                    flag_name, v, std::numeric_limits<T>::max()));
+            });
     }
 
-    /** Floating-point flag. */
+    /** Floating-point flag; the value must be finite. */
     void
     real(const char *name, double &field, const char *help)
     {
-        add(name, Arity::Required, help, [&field](const std::string &v) {
-            field = std::strtod(v.c_str(), nullptr);
-        });
+        std::string flag_name = std::string("--") + name;
+        add(name, Arity::Required, help,
+            [&field, flag_name](const std::string &v) {
+                char *end = nullptr;
+                errno = 0;
+                double x = std::strtod(v.c_str(), &end);
+                if (v.empty() || std::isspace(static_cast<unsigned char>(
+                                     v[0])) ||
+                    *end != '\0' || errno == ERANGE || !std::isfinite(x))
+                    badValue(flag_name, v, "a finite number");
+                field = x;
+            });
     }
 
     /** String flag. */
@@ -159,38 +179,10 @@ class FlagSet
     void
     toggle(const char *name, uint64_t &field, const char *help)
     {
-        add(name, Arity::Optional, help, [&field](const std::string &v) {
-            field = v.empty()
-                        ? 1
-                        : std::strtoull(v.c_str(), nullptr, 10);
-        });
-    }
-
-    /** Comma-separated unsigned list; bad or empty lists exit 64. */
-    void
-    list(const char *name, std::vector<unsigned> &field, const char *help)
-    {
         std::string flag_name = std::string("--") + name;
-        add(name, Arity::Required, help,
-            [&field, flag_name](const std::string &spec) {
-                field.clear();
-                const char *p = spec.c_str();
-                while (*p) {
-                    char *end = nullptr;
-                    unsigned long v = std::strtoul(p, &end, 10);
-                    if (end == p) {
-                        std::fprintf(stderr, "bad %s list '%s'\n",
-                                     flag_name.c_str(), spec.c_str());
-                        std::exit(kExitUsage);
-                    }
-                    field.push_back(static_cast<unsigned>(v));
-                    p = *end == ',' ? end + 1 : end;
-                }
-                if (field.empty()) {
-                    std::fprintf(stderr, "empty %s list\n",
-                                 flag_name.c_str());
-                    std::exit(kExitUsage);
-                }
+        add(name, Arity::Optional, help,
+            [&field, flag_name](const std::string &v) {
+                field = parseUnsigned(flag_name, v, UINT64_MAX);
             });
     }
 
@@ -262,12 +254,43 @@ class FlagSet
                 std::fprintf(stderr, "--%s takes no value\n",
                              opt->name.c_str());
                 std::exit(kExitUsage);
+            } else if (opt->arity == Arity::Optional && !have_value) {
+                value = "1";
             }
             opt->fn(value);
         }
     }
 
   private:
+    [[noreturn]] static void
+    badValue(const std::string &flag, const std::string &v,
+             const char *want)
+    {
+        std::fprintf(stderr, "bad value for %s: '%s' (want %s)\n",
+                     flag.c_str(), v.c_str(), want);
+        std::exit(kExitUsage);
+    }
+
+    /** Whole-string unsigned decimal in [0, @p max]; anything else
+     *  (empty, a sign or space, trailing characters, ERANGE, or above
+     *  @p max) exits 64. */
+    static uint64_t
+    parseUnsigned(const std::string &flag, const std::string &v,
+                  uint64_t max)
+    {
+        char *end = nullptr;
+        errno = 0;
+        unsigned long long x = std::strtoull(v.c_str(), &end, 10);
+        if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
+            *end != '\0')
+            badValue(flag, v, "an unsigned integer");
+        if (errno == ERANGE || x > max)
+            badValue(flag, v,
+                     ("an unsigned integer <= " + std::to_string(max))
+                         .c_str());
+        return x;
+    }
+
     enum class Arity
     {
         None,

@@ -1,6 +1,6 @@
 /**
  * @file
- * BENCH_8/BENCH_9: traversal-as-a-service under sustained traffic.
+ * BENCH_8/9/10: traversal-as-a-service under sustained traffic.
  *
  * Stands up a persistent TraversalService (a DeviceGroup of 1..N
  * long-lived TtaDevices; three tenants: B-Tree lookups, radius
@@ -31,29 +31,28 @@
  *   --max-batch=N          admission policy: dispatch threshold (256)
  *   --max-wait=N           admission policy: deadline in cycles (50000)
  *   --mean-gap=N           open-loop mean inter-arrival gap (cycles)
- *   --sched=NAME           scheduling policy lld|size|affinity|steal|
- *                          full (service/scheduler.hh); default lld,
- *                          or the TTA_SCHED env var (the flag wins)
+ *   --sched=NAME           scheduling policy lld|affinity
+ *                          (service/scheduler.hh); default lld; any
+ *                          other name exits 64
  *   --check-determinism    re-run every scenario (a) unchanged and
  *                          (b) with --serial-staging toggled, and
  *                          require batch logs (global + per
- *                          device), the scheduler steal log, latency
- *                          histograms and the exact per-device
- *                          histogram merge to be bit-identical; exits
- *                          2 on divergence
+ *                          device), latency histograms and the exact
+ *                          per-device histogram merge to be
+ *                          bit-identical; exits 2 on divergence
  *   --check-overload-scaling=X  (overload study) require aggregate
  *                          saturated throughput at 4 devices >= X times
  *                          the 1-device value; exits 6 otherwise
- *   --check-sched-gain=X   (sched study) require the full policy to
- *                          reach >= X times lld's saturated throughput
- *                          at 4 devices with p99 not regressed; exits
- *                          7 otherwise
+ *   --check-sched-gain=X   (sched study) require affinity to reach
+ *                          >= X times lld's saturated throughput at 4
+ *                          devices with p99 not regressed; exits 7
+ *                          otherwise
  *
  * JSON records (--json=FILE, one line per run) carry the service
  * scalars/counters plus derived values: throughput_qpmc (completed
  * queries per million simulated cycles), lat_p50/p99/p999_cycles and
  * _us, per-SLO-class percentiles, devices, offered load factor,
- * per-device batch/steal counts, and one trailing "workload_cache"
+ * per-device batch counts, and one trailing "workload_cache"
  * record carrying the WorkloadCache lookup/hit counters.
  */
 
@@ -96,7 +95,7 @@ struct ServiceArgs
     uint64_t devices = 0;  //!< 0 = scenario default
     std::string filter;    //!< --bench substring ("overload"/"sched")
     std::string scenario;  //!< --scenario exact name
-    std::string schedName; //!< --sched; empty = TTA_SCHED or lld
+    std::string schedName; //!< --sched; empty = lld
     SchedPolicy sched = SchedPolicy::LeastLoaded; //!< resolved
     bool listScenarios = false;
     bool serialStaging = false;
@@ -146,11 +145,6 @@ oracleString(const ServiceReport &rep)
              sloClassName(static_cast<SloClass>(c)) + ":" +
              cr.latency.dumpString();
     }
-    // The scheduler's steal schedule (empty under non-stealing
-    // policies) is part of the oracle: a steal moving to a different
-    // (cycle, batch, device) triple on any kernel/staging/rerun is a
-    // determinism break even if the latency histograms happen to agree.
-    s += "steals:" + std::to_string(rep.steals) + "\n" + rep.stealLog;
     return s;
 }
 
@@ -327,14 +321,9 @@ fillRecord(sim::RunRecord &rec, const ServiceReport &rep,
         static_cast<double>(rep.expiredDispatches);
     rec.values["completed"] = static_cast<double>(rep.completed);
     rec.values["canceled"] = static_cast<double>(rep.canceled);
-    rec.values["steals"] = static_cast<double>(rep.steals);
-    for (size_t d = 0; d < rep.devices.size(); ++d) {
-        std::string prefix = "dev" + std::to_string(d);
-        rec.values[prefix + "_batches"] =
+    for (size_t d = 0; d < rep.devices.size(); ++d)
+        rec.values["dev" + std::to_string(d) + "_batches"] =
             static_cast<double>(rep.devices[d].batches);
-        rec.values[prefix + "_steals"] =
-            static_cast<double>(rep.devices[d].steals);
-    }
     for (uint32_t c = 0; c < kNumSloClasses; ++c) {
         const ClassReport &cr = rep.classes[c];
         if (!cr.completed)
@@ -586,8 +575,8 @@ runOverloadStudy(const Args &args, const ServiceArgs &sargs,
  * the closed-loop capacity under lld, then run a locality-bound
  * open-loop scenario — a fleet of equally-priced large-tree B-Tree
  * tenants with distinct key sets plus a cheap latency-sensitive lane —
- * at a saturating offered load (1.5x capacity) under every scheduling
- * policy and compare throughput, tail latency and steal activity. One
+ * at a saturating offered load (1.5x capacity) under both scheduling
+ * policies and compare throughput and tail latency. One
  * tenant's hot paths fit a device's L2, the fleet's combined working
  * set does not, so lld's tenant interleaving thrashes — precisely the
  * locality that affinity placement recovers. @return exit code.
@@ -597,15 +586,13 @@ runSchedStudy(const Args &args, const ServiceArgs &sargs,
               WorkloadCache &cache)
 {
     const uint32_t kDevCounts[] = {1, 2, 4};
-    const SchedPolicy kPolicies[] = {
-        SchedPolicy::LeastLoaded, SchedPolicy::SizeAware,
-        SchedPolicy::Affinity, SchedPolicy::Steal, SchedPolicy::Full,
-    };
+    const SchedPolicy kPolicies[] = {SchedPolicy::LeastLoaded,
+                                     SchedPolicy::Affinity};
     const double kLoadFactor = 1.5; //!< offered load vs capacity
 
     printHeader("BENCH_10", "locality-aware scheduling-policy study",
                 args);
-    std::printf("  policy sweep: lld size affinity steal full; "
+    std::printf("  policy sweep: lld affinity; "
                 "max-batch=%llu max-wait=%llu, offered load %.1fx "
                 "capacity, slo classes on\n",
                 static_cast<unsigned long long>(sargs.maxBatch),
@@ -739,18 +726,16 @@ runSchedStudy(const Args &args, const ServiceArgs &sargs,
     emitRecords(args, all);
 
     double mhz = modeConfig(sim::AccelMode::Tta).coreClockMhz;
-    std::printf("\n%-6s %-9s %9s %10s %10s %8s %8s\n", "dev",
-                "policy", "qpmc", "p99(us)", "ls.p99(us)", "steals",
-                "expired");
+    std::printf("\n%-6s %-9s %9s %10s %10s %8s\n", "dev", "policy",
+                "qpmc", "p99(us)", "ls.p99(us)", "expired");
     for (const Cell &cell : cells) {
         const ClassReport &ls = cell.rep.classes[static_cast<uint32_t>(
             SloClass::LatencySensitive)];
-        std::printf("d%-5u %-9s %9.1f %10.1f %10.1f %8llu %8llu\n",
+        std::printf("d%-5u %-9s %9.1f %10.1f %10.1f %8llu\n",
                     cell.devices, schedPolicyName(cell.policy),
                     cell.rep.throughputQpmc(),
                     cyclesToUs(cell.rep.latency.percentile(99), mhz),
                     cyclesToUs(ls.latency.percentile(99), mhz),
-                    static_cast<unsigned long long>(cell.rep.steals),
                     static_cast<unsigned long long>(
                         cell.rep.expiredDispatches));
     }
@@ -760,27 +745,27 @@ runSchedStudy(const Args &args, const ServiceArgs &sargs,
     printCacheLine(cache);
 
     if (sargs.schedGain > 0.0) {
-        const ServiceReport *lld = nullptr, *full = nullptr;
+        const ServiceReport *lld = nullptr, *aff = nullptr;
         for (const Cell &cell : cells) {
             if (cell.devices != 4)
                 continue;
             if (cell.policy == SchedPolicy::LeastLoaded)
                 lld = &cell.rep;
-            if (cell.policy == SchedPolicy::Full)
-                full = &cell.rep;
+            if (cell.policy == SchedPolicy::Affinity)
+                aff = &cell.rep;
         }
         double q_lld = lld ? lld->throughputQpmc() : 0.0;
-        double q_full = full ? full->throughputQpmc() : 0.0;
-        double gain = q_lld > 0.0 ? q_full / q_lld : 0.0;
+        double q_aff = aff ? aff->throughputQpmc() : 0.0;
+        double gain = q_lld > 0.0 ? q_aff / q_lld : 0.0;
         uint64_t p99_lld = lld ? lld->latency.percentile(99) : 0;
-        uint64_t p99_full = full ? full->latency.percentile(99) : 0;
+        uint64_t p99_aff = aff ? aff->latency.percentile(99) : 0;
         bool gain_ok = gain >= sargs.schedGain;
-        bool p99_ok = p99_full <= p99_lld;
-        std::printf("sched gain gate (d4): full/lld saturated "
+        bool p99_ok = p99_aff <= p99_lld;
+        std::printf("sched gain gate (d4): affinity/lld saturated "
                     "throughput %.2fx (need >= %.2fx): %s; p99 %llu vs "
                     "%llu cycles (need <=): %s\n",
                     gain, sargs.schedGain, gain_ok ? "PASS" : "FAIL",
-                    static_cast<unsigned long long>(p99_full),
+                    static_cast<unsigned long long>(p99_aff),
                     static_cast<unsigned long long>(p99_lld),
                     p99_ok ? "PASS" : "FAIL");
         if (!gain_ok || !p99_ok)
@@ -812,8 +797,7 @@ main(int argc, char **argv)
            "scenario substring filter ('overload'/'sched' = studies)");
     fs.str("scenario", sargs.scenario, "run exactly one scenario");
     fs.str("sched", sargs.schedName,
-           "scheduling policy lld|size|affinity|steal|full "
-           "(default: TTA_SCHED or lld)");
+           "scheduling policy lld|affinity (default: lld)");
     fs.flag("list-scenarios", sargs.listScenarios,
             "print scenario names and exit");
     fs.flag("serial-staging", sargs.serialStaging,
@@ -823,19 +807,14 @@ main(int argc, char **argv)
     fs.real("check-overload-scaling", sargs.overloadScale,
             "overload study: require d4 >= X times d1; exit 6");
     fs.real("check-sched-gain", sargs.schedGain,
-            "sched study: require full >= X times lld at d4; exit 7");
+            "sched study: require affinity >= X times lld at d4; exit 7");
     fs.parse(argc, argv);
 
-    if (!sargs.schedName.empty()) {
-        if (!parseSchedPolicy(sargs.schedName, sargs.sched)) {
-            std::fprintf(stderr,
-                         "unknown --sched=%s (lld|size|affinity|steal|"
-                         "full)\n",
-                         sargs.schedName.c_str());
-            return 64;
-        }
-    } else {
-        sargs.sched = schedPolicyFromEnv(SchedPolicy::LeastLoaded);
+    if (!sargs.schedName.empty() &&
+        !parseSchedPolicy(sargs.schedName, sargs.sched)) {
+        std::fprintf(stderr, "unknown --sched=%s (lld|affinity)\n",
+                     sargs.schedName.c_str());
+        return 64;
     }
 
     if (sargs.listScenarios) {

@@ -33,7 +33,7 @@
  *      (correctness: the offending bench and configuration are printed)
  *   4  --check-skip-fraction unmet (performance gate)
  *   5  --check-wide-speedup unmet (performance gate)
- *   64 usage error (bad flag or list syntax)
+ *   64 usage error (unknown flag or malformed value)
  *   1  I/O error (e.g. unwritable --json path)
  *
  * scripts/record_bench.sh wraps this binary into the committed

@@ -34,7 +34,9 @@ class GlobalMemory
     }
 
     /**
-     * Bump-allocate a region.
+     * Bump-allocate a region. A request that does not fit (workload
+     * sizes are user input) is a fatal() that states the request, the
+     * allocation top and the capacity.
      * @param bytes size of the region.
      * @param align alignment (power of two); defaults to a cache line so
      *        that tree nodes never straddle lines, matching how the
@@ -45,8 +47,13 @@ class GlobalMemory
     {
         panic_if((align & (align - 1)) != 0, "alignment not a power of 2");
         Addr base = (allocTop_ + align - 1) & ~(align - 1);
-        panic_if(base + bytes > data_.size(),
-                 "simulated memory exhausted (%zu bytes requested)", bytes);
+        // Compare against the room left, never base + bytes, which
+        // wraps for huge requests.
+        fatal_if(base > data_.size() || bytes > data_.size() - base,
+                 "simulated memory exhausted: %zu bytes requested "
+                 "(align %zu) with allocTop %llu of capacity %zu",
+                 bytes, align, static_cast<unsigned long long>(allocTop_),
+                 data_.size());
         allocTop_ = base + bytes;
         return base;
     }

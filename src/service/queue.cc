@@ -207,21 +207,6 @@ AdmissionQueue::selectTenant(sim::Cycle now, uint32_t max_batch,
 int
 AdmissionQueue::selectTenant(sim::Cycle now,
                              const std::vector<uint32_t> &quota,
-                             bool drain)
-{
-    fatal_if(quota.size() != lanes_.size(),
-             "selectTenant quota vector has %zu entries for %zu lanes",
-             quota.size(), lanes_.size());
-    for (uint32_t q : quota)
-        fatal_if(q == 0, "selectTenant with a zero quota");
-    return selectTenantWith(
-        now, [&quota](uint32_t t) { return quota[t]; },
-        [](uint32_t) { return uint64_t{0}; }, drain, 0);
-}
-
-int
-AdmissionQueue::selectTenant(sim::Cycle now,
-                             const std::vector<uint32_t> &quota,
                              bool drain,
                              const std::vector<uint64_t> &prefer,
                              sim::Cycle slack)

@@ -115,28 +115,22 @@ class AdmissionQueue
     int selectTenant(sim::Cycle now, uint32_t max_batch, bool drain);
 
     /**
-     * Size-aware variant: rule 2's "full batch" test uses a per-tenant
-     * quota (service::Scheduler derives quotas from estimated service
-     * cost) instead of one shared max_batch. With every quota equal to
-     * max_batch this is byte-identical to the scalar overload.
-     */
-    int selectTenant(sim::Cycle now, const std::vector<uint32_t> &quota,
-                     bool drain);
-
-    /**
-     * Affinity variant: the class priority walk is unchanged, but the
-     * highest @p prefer score wins among the candidates of the rule
-     * that fires — rule 1 becomes bounded-lateness EDF (candidates are
-     * the expired lanes whose front deadline is within @p slack of the
-     * earliest; equal scores fall back to earliest-deadline, lowest
-     * id), rules 2/3 replace plain round-robin (ties resolve in
-     * round-robin scan order). An all-zero @p prefer with @p slack == 0
-     * is byte-identical to the quota overload. The service passes
-     * per-(tenant, device) cache-warmth scores so a device re-pulls
-     * the tenant whose tree it has hot. Starvation stays bounded: a
-     * lane can only be passed over for other lanes inside the slack
-     * window, each pass-over pops one of them past it, and new
-     * arrivals only append later deadlines.
+     * Affinity variant. Rule 2's "full batch" test uses a per-tenant
+     * @p quota (service::Scheduler derives quotas from estimated
+     * service cost) instead of one shared max_batch. The class priority
+     * walk is unchanged, but the highest @p prefer score wins among the
+     * candidates of the rule that fires — rule 1 becomes
+     * bounded-lateness EDF (candidates are the expired lanes whose
+     * front deadline is within @p slack of the earliest; equal scores
+     * fall back to earliest-deadline, lowest id), rules 2/3 replace
+     * plain round-robin (ties resolve in round-robin scan order). With
+     * an all-zero @p prefer, @p slack == 0 and every quota equal to
+     * max_batch this is byte-identical to the scalar overload. The
+     * service passes per-(tenant, device) cache-warmth scores so a
+     * device re-pulls the tenant whose tree it has hot. Starvation
+     * stays bounded: a lane can only be passed over for other lanes
+     * inside the slack window, each pass-over pops one of them past
+     * it, and new arrivals only append later deadlines.
      */
     int selectTenant(sim::Cycle now, const std::vector<uint32_t> &quota,
                      bool drain, const std::vector<uint64_t> &prefer,

@@ -1,11 +1,61 @@
 #include "service/scheduler.hh"
 
-#include <cstdlib>
-#include <sstream>
-
 #include "sim/logging.hh"
 
 namespace tta::service {
+
+namespace {
+
+/** EWMA step for the cost model: alpha = 1 / 2^kEwmaShift. */
+constexpr uint32_t kEwmaShift = 2;
+
+/** Cycles/query assumed before any observation (quota math needs a
+ *  nonzero estimate before the calibration probe lands). */
+constexpr uint64_t kSeedCostCyclesPerQuery = 64;
+
+/** Calibration probe batch size per tenant (clamped to maxBatch).
+ *  Without the probe the estimates start from the static seed, and the
+ *  first placements and quotas are made blind. */
+constexpr uint32_t kProbeQueries = 64;
+
+/** Smallest affinity dispatch threshold: the floor keeps a very pricey
+ *  tenant from dispatching near-singleton batches under light load. */
+constexpr uint32_t kMinQuota = 64;
+
+/** Planned-but-unlaunched batches a device may hold. */
+constexpr uint32_t kMaxBacklog = 2;
+
+/** Warmth bonus at batch-age 1, in 1/256ths of the placed batch's
+ *  estimated cost (256 = one batch). It exceeds one batch on purpose:
+ *  in steady state the device that just freed a backlog slot is exactly
+ *  one batch lighter than its peers, and the bonus must bridge that gap
+ *  for a batch to wait for its warm device instead of landing on
+ *  whichever freed first. */
+constexpr uint32_t kWarmthBonusFrac256 = 384;
+
+/** Residency window, in batches: a tenant counts as warm on a device
+ *  while at most this many batches will have run there since its last
+ *  one (age 1 = back-to-back). A device's L2 keeps a tenant's tree hot
+ *  across a few intervening batches of its other resident tenants, so
+ *  warmth must look further back than the immediately preceding batch
+ *  or device "homes" drift; the bonus decays linearly to zero past the
+ *  window. */
+constexpr uint32_t kWarmthResidencyBatches = 3;
+
+/** Staleness bound on the virtual clock: a tenant inside the residency
+ *  window still counts as cold once this many cycles pass without it
+ *  retiring on the device, so affinity never starves a long-idle (but
+ *  batch-age-warm) device of fresh placements. */
+constexpr sim::Cycle kWarmthStalenessCycles = 1u << 20;
+
+/** Bounded-lateness EDF window for affinity tenant selection: among
+ *  expired lanes, warmth may prefer a lane whose front deadline is at
+ *  most this far behind the earliest. Under sustained overload every
+ *  front deadline is expired, so without slack EDF order alone dictates
+ *  dispatch and warmth never gets a say. */
+constexpr sim::Cycle kDeadlineSlackCycles = 50000;
+
+} // namespace
 
 const char *
 schedPolicyName(SchedPolicy p)
@@ -13,14 +63,8 @@ schedPolicyName(SchedPolicy p)
     switch (p) {
       case SchedPolicy::LeastLoaded:
         return "lld";
-      case SchedPolicy::SizeAware:
-        return "size";
       case SchedPolicy::Affinity:
         return "affinity";
-      case SchedPolicy::Steal:
-        return "steal";
-      case SchedPolicy::Full:
-        return "full";
     }
     return "?";
 }
@@ -28,9 +72,7 @@ schedPolicyName(SchedPolicy p)
 bool
 parseSchedPolicy(const std::string &name, SchedPolicy &out)
 {
-    for (SchedPolicy p :
-         {SchedPolicy::LeastLoaded, SchedPolicy::SizeAware,
-          SchedPolicy::Affinity, SchedPolicy::Steal, SchedPolicy::Full}) {
+    for (SchedPolicy p : {SchedPolicy::LeastLoaded, SchedPolicy::Affinity}) {
         if (name == schedPolicyName(p)) {
             out = p;
             return true;
@@ -39,41 +81,31 @@ parseSchedPolicy(const std::string &name, SchedPolicy &out)
     return false;
 }
 
-SchedPolicy
-schedPolicyFromEnv(SchedPolicy fallback)
-{
-    const char *env = std::getenv("TTA_SCHED");
-    if (!env || !*env)
-        return fallback;
-    SchedPolicy p;
-    fatal_if(!parseSchedPolicy(env, p),
-             "TTA_SCHED=%s: expected lld|size|affinity|steal|full", env);
-    return p;
-}
-
-Scheduler::Scheduler(SchedPolicy policy, const SchedParams &params,
-                     uint32_t num_devices, uint32_t num_tenants,
-                     uint32_t max_batch)
-    : policy_(policy), params_(params), maxBatch_(max_batch),
-      backlog_(num_devices), backlogCost_(num_devices, 0),
-      busy_(num_devices, false), freeAt_(num_devices, 0),
-      busyUntilEst_(num_devices, 0),
-      costQ8_(num_tenants, params.seedCostCyclesPerQuery << 8),
-      calibrated_(num_tenants, false),
+Scheduler::Scheduler(SchedPolicy policy, uint32_t num_devices,
+                     uint32_t num_tenants, uint32_t max_batch)
+    : policy_(policy), maxBatch_(max_batch), backlog_(num_devices),
+      backlogCost_(num_devices, 0), busy_(num_devices, false),
+      freeAt_(num_devices, 0), busyUntilEst_(num_devices, 0),
+      costQ8_(num_tenants, kSeedCostCyclesPerQuery << 8),
       quota_(num_tenants, max_batch),
       lastUse_(static_cast<size_t>(num_tenants) * num_devices,
                kNoCycle),
       servedSeq_(num_devices, 0),
       lastServedSeq_(static_cast<size_t>(num_tenants) * num_devices,
                      0),
-      dispatches_(num_devices, 0), steals_(num_devices, 0)
+      dispatches_(num_devices, 0)
 {
     fatal_if(num_devices == 0, "Scheduler with zero devices");
     fatal_if(num_tenants == 0, "Scheduler with zero tenants");
     fatal_if(max_batch == 0, "Scheduler with maxBatch == 0");
-    fatal_if(params_.ewmaShift >= 32, "SchedParams.ewmaShift too large");
-    fatal_if(params_.seedCostCyclesPerQuery == 0,
-             "SchedParams.seedCostCyclesPerQuery == 0");
+}
+
+uint32_t
+Scheduler::probeQueries() const
+{
+    if (!affinity())
+        return 0;
+    return kProbeQueries < maxBatch_ ? kProbeQueries : maxBatch_;
 }
 
 void
@@ -82,7 +114,6 @@ Scheduler::calibrate(uint32_t t, uint64_t queries, sim::Cycle elapsed)
     fatal_if(queries == 0, "calibrate with zero queries");
     uint64_t q8 = (static_cast<uint64_t>(elapsed) << 8) / queries;
     costQ8_[t] = q8 ? q8 : 1;
-    calibrated_[t] = true;
 }
 
 uint64_t
@@ -95,7 +126,7 @@ Scheduler::estBatchCost(uint32_t t, uint64_t n) const
 void
 Scheduler::refreshQuotas()
 {
-    if (!sizeAware())
+    if (!affinity())
         return; // lld: quotas stay pinned at maxBatch
     uint64_t minQ8 = costQ8_[0];
     for (uint64_t c : costQ8_)
@@ -108,9 +139,8 @@ Scheduler::refreshQuotas()
     for (size_t t = 0; t < quota_.size(); ++t) {
         uint64_t q = (static_cast<uint64_t>(maxBatch_) * minQ8) /
                      costQ8_[t];
-        uint32_t lo = params_.minQuota ? params_.minQuota : 1;
-        if (q < lo)
-            q = lo;
+        if (q < kMinQuota)
+            q = kMinQuota;
         if (q > maxBatch_)
             q = maxBatch_;
         quota_[t] = static_cast<uint32_t>(q);
@@ -120,14 +150,10 @@ Scheduler::refreshQuotas()
 bool
 Scheduler::hasRoom() const
 {
-    if (leastLoaded()) {
-        for (uint32_t d = 0; d < backlog_.size(); ++d)
-            if (!busy_[d] && backlog_[d].empty())
-                return true;
-        return false;
-    }
+    if (!affinity())
+        return hasIdleDevice();
     for (uint32_t d = 0; d < backlog_.size(); ++d)
-        if (backlog_[d].size() < params_.maxBacklog)
+        if (backlog_[d].size() < kMaxBacklog)
             return true;
     return false;
 }
@@ -147,7 +173,7 @@ Scheduler::nextPlacementDevice(sim::Cycle now) const
     int best = -1;
     sim::Cycle bestLoad = 0;
     for (uint32_t d = 0; d < backlog_.size(); ++d) {
-        if (backlog_[d].size() >= params_.maxBacklog)
+        if (backlog_[d].size() >= kMaxBacklog)
             continue;
         sim::Cycle load = estLoad(d, now);
         if (best < 0 || load < bestLoad) {
@@ -169,6 +195,12 @@ Scheduler::warmthKeys(uint32_t d, sim::Cycle now) const
 }
 
 sim::Cycle
+Scheduler::deadlineSlack()
+{
+    return kDeadlineSlackCycles;
+}
+
+sim::Cycle
 Scheduler::estLoad(uint32_t d, sim::Cycle now) const
 {
     sim::Cycle load = backlogCost_[d];
@@ -181,34 +213,25 @@ sim::Cycle
 Scheduler::warmthBonus(uint32_t t, uint32_t d, uint64_t est_cost,
                        sim::Cycle now) const
 {
-    return warmthAt(t, d, est_cost, now, backlog_[d].size());
-}
-
-sim::Cycle
-Scheduler::warmthAt(uint32_t t, uint32_t d, uint64_t est_cost,
-                    sim::Cycle now, size_t upto) const
-{
     // Predict the cache state the batch will meet, not the state now:
     // number the device's service sequence (launches so far, then the
     // planned backlog), find the most recent slot tenant t occupies
     // before the candidate's, and score by the batch distance. A
     // device's L2 keeps a tenant's tree hot across a few intervening
     // batches of its other resident tenants, so warmth reaches
-    // warmthResidencyBatches back, decaying linearly with distance.
-    uint32_t window = params_.warmthResidencyBatches;
-    if (window == 0)
-        return 0;
-    uint64_t cand = servedSeq_[d] + upto + 1;
+    // kWarmthResidencyBatches back, decaying linearly with distance.
+    const std::deque<Batch> &plan = backlog_[d];
+    uint64_t cand = servedSeq_[d] + plan.size() + 1;
     uint64_t last =
         lastServedSeq_[static_cast<size_t>(t) * backlog_.size() + d];
     bool planned = false;
-    for (size_t i = 0; i < upto; ++i) {
-        if (backlog_[d][i].tenant == t) {
+    for (size_t i = 0; i < plan.size(); ++i) {
+        if (plan[i].tenant == t) {
             last = servedSeq_[d] + i + 1;
             planned = true;
         }
     }
-    if (last == 0 || cand - last > window)
+    if (last == 0 || cand - last > kWarmthResidencyBatches)
         return 0;
     if (!planned) {
         // Historical warmth additionally honors the staleness bound:
@@ -217,13 +240,13 @@ Scheduler::warmthAt(uint32_t t, uint32_t d, uint64_t est_cost,
         // construction.
         sim::Cycle used = lastUse_[static_cast<size_t>(t) *
                                        backlog_.size() + d];
-        if (used != kNoCycle && params_.warmthStalenessCycles &&
-            now - used >= params_.warmthStalenessCycles)
+        if (used != kNoCycle && now - used >= kWarmthStalenessCycles)
             return 0;
     }
-    uint64_t base = (est_cost * params_.warmthBonusFrac256) >> 8;
-    uint64_t age = cand - last; // in [1, window]
-    return static_cast<sim::Cycle>(base - (age - 1) * (base / window));
+    uint64_t base = (est_cost * kWarmthBonusFrac256) >> 8;
+    uint64_t age = cand - last; // in [1, kWarmthResidencyBatches]
+    return static_cast<sim::Cycle>(
+        base - (age - 1) * (base / kWarmthResidencyBatches));
 }
 
 uint32_t
@@ -241,7 +264,7 @@ Scheduler::place(uint32_t tenant,
     b.queries = std::move(queries);
 
     int best = -1;
-    if (leastLoaded()) {
+    if (!affinity()) {
         // PR 9's dispatcher: the idle unplanned device that has been
         // idle longest (smallest last-completion cycle, ties to the
         // lowest index).
@@ -253,18 +276,15 @@ Scheduler::place(uint32_t tenant,
                 best = static_cast<int>(d);
         }
     } else {
-        // Estimated-ready score, minus the (bounded, decayed) warmth
-        // bonus under affinity policies. Ties to the lowest index.
+        // Estimated-ready score minus the (bounded, decayed) warmth
+        // bonus. Ties to the lowest index.
         uint64_t bestScore = 0;
         for (uint32_t d = 0; d < backlog_.size(); ++d) {
-            if (backlog_[d].size() >= params_.maxBacklog)
+            if (backlog_[d].size() >= kMaxBacklog)
                 continue;
             uint64_t ready = now + estLoad(d, now);
-            if (affinity()) {
-                sim::Cycle bonus =
-                    warmthBonus(tenant, d, b.estCost, now);
-                ready = ready > bonus ? ready - bonus : 0;
-            }
+            sim::Cycle bonus = warmthBonus(tenant, d, b.estCost, now);
+            ready = ready > bonus ? ready - bonus : 0;
             if (best < 0 || ready < bestScore) {
                 best = static_cast<int>(d);
                 bestScore = ready;
@@ -292,105 +312,6 @@ Scheduler::enqueuePlanned(uint32_t d, Batch &&b)
         backlog_[d].insert(it, std::move(b));
     } else {
         backlog_[d].push_back(std::move(b));
-    }
-}
-
-sim::Cycle
-Scheduler::stealThreshold() const
-{
-    if (params_.stealThresholdCycles)
-        return params_.stealThresholdCycles;
-    uint64_t minQ8 = costQ8_[0];
-    for (uint64_t c : costQ8_)
-        minQ8 = c < minQ8 ? c : minQ8;
-    sim::Cycle t = (static_cast<uint64_t>(maxBatch_) * minQ8) >> 8;
-    return t ? t : 1;
-}
-
-void
-Scheduler::rebalance(sim::Cycle now)
-{
-    if (!stealing())
-        return;
-    // Bounded pass: each iteration moves one tail batch from the
-    // most-loaded device to the least-loaded one, and only while the
-    // move strictly reduces that batch's estimated start cycle — so a
-    // batch never gets *later* through stealing (the no-inversion
-    // argument), and the loop terminates.
-    sim::Cycle threshold = stealThreshold();
-    for (uint32_t guard = 0;
-         guard < backlog_.size() * params_.maxBacklog + 1; ++guard) {
-        int thief = -1;
-        sim::Cycle thiefLoad = 0;
-        for (uint32_t d = 0; d < backlog_.size(); ++d) {
-            sim::Cycle load = estLoad(d, now);
-            if (backlog_[d].size() < params_.maxBacklog &&
-                load < threshold &&
-                (thief < 0 || load < thiefLoad)) {
-                thief = static_cast<int>(d);
-                thiefLoad = load;
-            }
-        }
-        if (thief < 0)
-            return;
-        int victim = -1;
-        sim::Cycle victimLoad = 0;
-        for (uint32_t d = 0; d < backlog_.size(); ++d) {
-            if (d == static_cast<uint32_t>(thief) ||
-                backlog_[d].empty())
-                continue;
-            // A priority tail would be spliced *ahead* of the thief's
-            // queued throughput plans (enqueuePlanned keeps SLO
-            // order), delaying their estimated starts — which the
-            // no-inversion argument forbids. It may only move onto an
-            // empty backlog, where the priority insert degenerates to
-            // an append and the benefit test below is exact.
-            if (backlog_[d].back().priority &&
-                !backlog_[static_cast<uint32_t>(thief)].empty())
-                continue;
-            sim::Cycle load = estLoad(d, now);
-            if (victim < 0 || load > victimLoad) {
-                victim = static_cast<int>(d);
-                victimLoad = load;
-            }
-        }
-        if (victim < 0)
-            return;
-        Batch &tail = backlog_[victim].back();
-        // New estimated start on the thief vs. current estimated start
-        // on the victim (it is the tail, so it starts after everything
-        // else there).
-        uint64_t moveCost = tail.estCost;
-        if (affinity()) {
-            // A steal that breaks a warm chain runs the batch cold on
-            // the thief: charge the move the warmth the batch would
-            // have enjoyed in place and credit any warmth waiting on
-            // the thief, so only steals that beat the locality loss
-            // happen.
-            sim::Cycle victimWarm = warmthAt(
-                tail.tenant, static_cast<uint32_t>(victim),
-                tail.estCost, now, backlog_[victim].size() - 1);
-            sim::Cycle thiefWarm =
-                warmthBonus(tail.tenant, static_cast<uint32_t>(thief),
-                            tail.estCost, now);
-            moveCost += victimWarm;
-            moveCost = moveCost > thiefWarm ? moveCost - thiefWarm : 0;
-        }
-        if (thiefLoad + moveCost >= victimLoad)
-            return; // no strictly earlier start: stop stealing
-        Batch moved = std::move(backlog_[victim].back());
-        backlog_[victim].pop_back();
-        backlogCost_[victim] -= moved.estCost;
-        ++steals_[thief];
-        ++stealsTotal_;
-        if (stealsTotal_ <= kMaxLoggedSteals) {
-            std::ostringstream os;
-            os << "s" << stealsTotal_ << " c=" << now
-               << " b=" << moved.id << " d" << victim << "->" << thief
-               << "\n";
-            stealLog_ += os.str();
-        }
-        enqueuePlanned(static_cast<uint32_t>(thief), std::move(moved));
     }
 }
 
@@ -427,15 +348,15 @@ Scheduler::onRetire(uint32_t d, uint32_t tenant, uint64_t queries,
     busyUntilEst_[d] = complete;
     lastUse_[static_cast<size_t>(tenant) * backlog_.size() + d] =
         complete;
-    if (!sizeAware() || queries == 0)
+    if (!affinity() || queries == 0)
         return;
     // Integer EWMA on the Q8 cycles/query estimate: signed step toward
-    // the sample, alpha = 1 / 2^ewmaShift.
+    // the sample, alpha = 1 / 2^kEwmaShift.
     int64_t sample =
         static_cast<int64_t>((static_cast<uint64_t>(elapsed) << 8) /
                              queries);
     int64_t cur = static_cast<int64_t>(costQ8_[tenant]);
-    int64_t next = cur + ((sample - cur) >> params_.ewmaShift);
+    int64_t next = cur + ((sample - cur) >> kEwmaShift);
     costQ8_[tenant] = next > 0 ? static_cast<uint64_t>(next) : 1;
 }
 

@@ -123,11 +123,11 @@ TraversalService::launchReady(uint32_t d, ServiceReport &report)
     f.active = true;
     f.tenant = t;
     f.parity = parity;
-    // Expiry is judged at launch, not placement: under non-lld
-    // policies a planned batch can sit in a device backlog and cross
-    // its front deadline before launching, and expiredDispatches must
-    // count it (under lld placement and launch share one now_, so
-    // this is the pre-scheduler semantics exactly).
+    // Expiry is judged at launch, not placement: under affinity a
+    // planned batch can sit in a device backlog and cross its front
+    // deadline before launching, and expiredDispatches must count it
+    // (under lld placement and launch share one now_, so this is the
+    // pre-scheduler semantics exactly).
     f.expired = b.expired || b.queries->front().deadline <= now_;
     f.start = now_;
     f.complete = kNoCycle;
@@ -139,10 +139,8 @@ TraversalService::launchReady(uint32_t d, ServiceReport &report)
 void
 TraversalService::runCalibrationProbe()
 {
-    uint32_t n = policy_.schedParams.probeQueries;
-    if (n > policy_.maxBatch)
-        n = policy_.maxBatch;
-    if (!scheduler_->sizeAware() || n == 0)
+    uint32_t n = scheduler_->probeQueries();
+    if (n == 0)
         return;
     // One probe batch per (tenant, device), synthetic payloads cycling
     // the tenant's pool. Launched outside the traffic loop: no queue,
@@ -288,7 +286,7 @@ TraversalService::run(TrafficSource &src)
         verifyMismatches_[t].store(0, std::memory_order_relaxed);
 
     scheduler_ = std::make_unique<Scheduler>(
-        policy_.sched, policy_.schedParams, group_->size(),
+        policy_.sched, group_->size(),
         static_cast<uint32_t>(tenants_.size()), policy_.maxBatch);
     runCalibrationProbe();
 
@@ -315,9 +313,6 @@ TraversalService::run(TrafficSource &src)
                                         src.exhausted(),
                                         scheduler_->warmthKeys(d, now_),
                                         scheduler_->deadlineSlack());
-            } else if (scheduler_->sizeAware()) {
-                t = queue_.selectTenant(now_, scheduler_->quotas(),
-                                        src.exhausted());
             } else {
                 t = queue_.selectTenant(now_, policy_.maxBatch,
                                         src.exhausted());
@@ -339,7 +334,7 @@ TraversalService::run(TrafficSource &src)
             // device, and the pass re-runs before the next launch.
             // Priority batches are exempt: they jump the backlog at
             // placement anyway.
-            if (!scheduler_->leastLoaded() && !priority &&
+            if (scheduler_->affinity() && !priority &&
                 queue_.pending(static_cast<uint32_t>(t)) <
                     policy_.maxBatch &&
                 queue_.frontDeadline(static_cast<uint32_t>(t)) > now_ &&
@@ -356,7 +351,6 @@ TraversalService::run(TrafficSource &src)
             scheduler_->place(static_cast<uint32_t>(t),
                               std::move(batch), expired, priority, now_);
         }
-        scheduler_->rebalance(now_);
 
         // Launch the front of every idle device's plan. After this,
         // every device with planned work is busy, so the loop can
@@ -405,11 +399,6 @@ TraversalService::run(TrafficSource &src)
         }
         now_ = next > now_ ? next : now_ + 1;
     }
-
-    for (uint32_t d = 0; d < report.devices.size(); ++d)
-        report.devices[d].steals = scheduler_->steals(d);
-    report.steals = scheduler_->stealsTotal();
-    report.stealLog = scheduler_->stealLog();
 
     // Finish outstanding verifies (and surface any worker error).
     group_->drain();
@@ -477,14 +466,7 @@ TraversalService::publishStats(const ServiceReport &report)
             .set(static_cast<double>(dr.busy));
         stats_.scalar(prefix + ".lat_p99_cycles")
             .set(static_cast<double>(dr.latency.percentile(99)));
-        // New-policy stats only: the lld stat surface must stay
-        // byte-identical to the pre-scheduler service (the golden
-        // snapshot diff rejects new keys).
-        if (policy_.sched != SchedPolicy::LeastLoaded)
-            stats_.counter(prefix + ".steals") += dr.steals;
     }
-    if (policy_.sched != SchedPolicy::LeastLoaded)
-        stats_.counter("service.sched.steals") += report.steals;
     stats_.counter("service.expired_dispatches") +=
         report.expiredDispatches;
     stats_.scalar("service.makespan_cycles")

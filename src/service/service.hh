@@ -17,15 +17,15 @@
  *     lanes (queue.hh documents the full policy),
  *   - partial lanes flush once the traffic source is exhausted.
  *
- * Dispatcher: batch placement is delegated to a pluggable policy layer
- * (scheduler.hh). The default ("lld", policy.sched) reproduces the
- * original least-loaded-first dispatcher decision-for-decision: a
- * ready batch goes to the free device that has been idle longest
- * (smallest last-completion cycle, ties to the lowest device index).
- * The size/affinity/steal/full policies add an EWMA service-time
- * estimator (seeded by a calibration probe run before traffic),
- * tenant-to-device cache-warmth affinity, and deterministic tail-batch
- * work stealing — all pure functions of the virtual clock.
+ * Dispatcher: batch placement is delegated to the scheduler
+ * (scheduler.hh), which has two policies (policy.sched). The default,
+ * "lld", reproduces the original least-loaded-first dispatcher
+ * decision-for-decision: a ready batch goes to the free device that
+ * has been idle longest (smallest last-completion cycle, ties to the
+ * lowest device index). "affinity" adds an EWMA service-time estimator
+ * (seeded by a calibration probe run before traffic) and plans batches
+ * onto the device whose L2 still holds their tenant's tree — a pure
+ * function of the virtual clock too.
  *
  * Time model: the service keeps a virtual clock `now` in simulated
  * device cycles. Each device serves one batch at a time; a launch
@@ -94,8 +94,6 @@ struct ServicePolicy
     /** Dispatch policy; LeastLoaded reproduces the pre-scheduler
      *  dispatcher bit-exactly (scheduler.hh). */
     SchedPolicy sched = SchedPolicy::LeastLoaded;
-    /** Scheduler tuning knobs (ignored under LeastLoaded). */
-    SchedParams schedParams;
 };
 
 struct TenantReport
@@ -117,7 +115,6 @@ struct DeviceReport
     uint64_t completed = 0;
     sim::Cycle busy = 0;     //!< sum of launch elapsed cycles
     sim::Cycle lastDone = 0; //!< last completion cycle
-    uint64_t steals = 0;     //!< batches this device stole (as thief)
     LatencyHistogram latency;
     /** Per-device batch log, numbered per device: the per-device
      *  determinism oracle. */
@@ -142,16 +139,12 @@ struct ServiceReport
     uint64_t canceled = 0;
     uint64_t batches = 0;
     uint64_t expiredDispatches = 0; //!< launched by the deadline rule
-    uint64_t steals = 0;            //!< total scheduler steal events
     sim::Cycle makespan = 0;        //!< last completion cycle
     sim::Cycle deviceBusy = 0;      //!< sum over devices of busy
     /** Compact per-batch log (tenant, start, size, seq range, device)
      *  in retirement order for the first kMaxLoggedBatches batches:
      *  the determinism oracle. */
     std::string batchLog;
-    /** Scheduler steal log (scheduler.hh): part of the determinism
-     *  oracle under stealing policies; empty otherwise. */
-    std::string stealLog;
 
     /** Completed queries per million simulated cycles (aggregate
      *  across devices; the makespan is the shared virtual clock). */
@@ -225,7 +218,7 @@ class TraversalService
     /** Seed the scheduler's cost model: one unverified probe batch per
      *  (tenant, device) before traffic, so every device is uniformly
      *  warmed and tenant estimates start from a measurement instead of
-     *  the static seed. No-op under lld or probeQueries == 0. */
+     *  the static seed. No-op under lld. */
     void runCalibrationProbe();
     /** Block until device @p d's in-flight launch has a completion
      *  cycle (no-op when already known). */

@@ -38,6 +38,28 @@ TEST(GlobalMemory, AllocAlignmentAndNullReserved)
     EXPECT_GT(b, a);
 }
 
+TEST(GlobalMemory, AllocPastCapacityIsFatal)
+{
+    GlobalMemory gmem(4096);
+    Addr a = gmem.alloc(1024);
+    EXPECT_THROW(gmem.alloc(4096), sim::FatalError);
+    // SIZE_MAX must not wrap the bounds check into a bogus address.
+    EXPECT_THROW(gmem.alloc(SIZE_MAX), sim::FatalError);
+    // Failed requests leave the allocator untouched.
+    EXPECT_EQ(gmem.allocTop(), a + 1024);
+    EXPECT_EQ(gmem.alloc(64), a + 1024);
+    try {
+        gmem.alloc(8192);
+        FAIL() << "over-capacity alloc did not throw";
+    } catch (const sim::FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("8192 bytes requested"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("allocTop 1152"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("capacity 4096"), std::string::npos) << msg;
+    }
+}
+
 // --- Coalescer ------------------------------------------------------------
 
 TEST(Coalescer, UniformAccessOneTransaction)

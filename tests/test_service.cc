@@ -18,7 +18,9 @@
  *  - the bench workload cache (bench_common.hh): serving a deep copy
  *    of a built workload is bit-identical to building it fresh (which
  *    is what lets the figure benches reuse one host tree per row),
- *    hit/lookup counters, and getShared prototype sharing.
+ *    hit/lookup counters, and getShared prototype sharing,
+ *  - strict numeric bench flags (bench_common.hh's FlagSet): malformed
+ *    values exit 64 naming the flag and the value.
  *
  * Multi-device coverage lives in tests/test_service_multidev.cc.
  */
@@ -420,17 +422,19 @@ TEST(ServiceTrace, SparseTenantDoesNotStarve)
         << "sparse tenant waited past its SLO bound";
 }
 
-TEST(ServiceTrace, SizeAwareQuotaPopsPartialLaneWhenDeviceIdle)
+TEST(ServiceTrace, QuotaPopsPartialLaneWhenDeviceIdle)
 {
-    // The size-aware quota makes a pricey lane dispatchable below
+    // The affinity quota makes a pricey lane dispatchable below
     // maxBatch, and the partial-pop defer must release it the moment
     // a device would otherwise sit idle — not hold it until its
     // deadline expires or the trace drains.
+    // The calibration probe prices a radius query at ~4.7 B-Tree
+    // lookups, so the pricey lane's quota (~108) lies between the
+    // 64-query floor and maxBatch.
     ServicePolicy policy;
-    policy.maxBatch = 64;
+    policy.maxBatch = 512;
     policy.maxWaitCycles = 400000; // far beyond the idle-driven pop
-    policy.sched = SchedPolicy::SizeAware;
-    policy.schedParams.minQuota = 1;
+    policy.sched = SchedPolicy::Affinity;
 
     sim::StatRegistry stats;
     TraversalService svc(serviceConfig(), stats, policy);
@@ -438,16 +442,17 @@ TEST(ServiceTrace, SizeAwareQuotaPopsPartialLaneWhenDeviceIdle)
     svc.addTenant(
         std::make_unique<RadiusTenant>("pricey", 512, 64, 1.0f, 12));
 
-    // 63 pricey queries in one burst — above the lane's quota, below
+    // A burst of pricey queries — above the lane's quota, below
     // maxBatch — then a long quiet gap before a final cheap arrival.
+    const uint32_t burst = 255;
     std::vector<Arrival> trace;
-    for (uint32_t i = 0; i < 63; ++i)
+    for (uint32_t i = 0; i < burst; ++i)
         trace.push_back({10, 1, i, 0});
     trace.push_back({1000000, 0, 0, 0});
     TraceSource src(trace);
     ServiceReport rep = svc.run(src);
 
-    ASSERT_EQ(rep.completed, 64u);
+    ASSERT_EQ(rep.completed, burst + 1);
     // The burst pops as one partial batch at the burst cycle (the
     // device is idle), so nothing ever reaches its deadline.
     EXPECT_EQ(rep.tenants[1].batches, 1u);
@@ -458,13 +463,13 @@ TEST(ServiceTrace, SizeAwareQuotaPopsPartialLaneWhenDeviceIdle)
 
 TEST(ServiceTrace, ExpiredDispatchCountedAtLaunchNotPlacement)
 {
-    // Under non-lld policies a batch can be planned unexpired into a
-    // busy device's backlog and cross its front deadline before it
+    // Under affinity a batch can be planned unexpired into a busy
+    // device's backlog and cross its front deadline before it
     // launches; expiredDispatches judges expiry at launch time.
     ServicePolicy policy;
     policy.maxBatch = 64;
     policy.maxWaitCycles = 100;
-    policy.sched = SchedPolicy::SizeAware;
+    policy.sched = SchedPolicy::Affinity;
     MiniService ms(policy);
 
     std::vector<Arrival> trace;
@@ -636,4 +641,76 @@ TEST(WorkloadCacheIdentity, DisabledCacheRebuilds)
     cached.get<workloads::BTreeWorkload>("k", build);
     cached.get<workloads::BTreeWorkload>("k", build);
     EXPECT_EQ(builds, 1);
+}
+
+namespace {
+
+/** Parse @p flags on a FlagSet carrying the shared bench flags plus one
+ *  real-valued flag (--gain). */
+struct ParsedFlags
+{
+    bench::Args args;
+    double gain = 0.0;
+};
+
+ParsedFlags
+parseBenchFlags(std::vector<std::string> flags)
+{
+    ParsedFlags out;
+    bench::FlagSet fs("bench", "");
+    bench::registerCommonFlags(fs, out.args);
+    fs.real("gain", out.gain, "a real-valued gate");
+    std::vector<char *> argv = {const_cast<char *>("bench")};
+    for (std::string &f : flags)
+        argv.push_back(f.data());
+    fs.parse(static_cast<int>(argv.size()), argv.data());
+    return out;
+}
+
+} // namespace
+
+TEST(BenchFlags, WellFormedNumbersParse)
+{
+    ParsedFlags p = parseBenchFlags({"--queries=42", "--keys", "7",
+                                     "--gain=1.25", "--rebuild-device",
+                                     "--seed=18446744073709551615"});
+    EXPECT_EQ(p.args.queries, 42u);
+    EXPECT_EQ(p.args.keys, 7u);
+    EXPECT_EQ(p.gain, 1.25);
+    EXPECT_EQ(p.args.rebuildDevice, 1u);
+    EXPECT_EQ(p.args.seed, UINT64_MAX);
+    EXPECT_EQ(parseBenchFlags({"--rebuild-device=0"}).args.rebuildDevice,
+              0u);
+}
+
+TEST(BenchFlagsDeathTest, MalformedNumbersExitUsage)
+{
+    // Each malformed value exits 64 and names the flag and the value,
+    // instead of running with whatever prefix strtoull/strtod accepted.
+    const struct
+    {
+        const char *flag;
+        const char *message;
+    } cases[] = {
+        {"--queries=abc", "--queries: 'abc'"},
+        {"--keys=12k", "--keys: '12k'"},
+        {"--queries=-1", "--queries: '-1'"},
+        {"--queries=+1", "--queries: '\\+1'"},
+        {"--queries= 1", "--queries: ' 1'"},
+        {"--queries=", "--queries: ''"},
+        {"--seed=18446744073709551616", "--seed: '18446744073709551616'"},
+        {"--res=4294967296", "--res: '4294967296'"},
+        {"--gain=1.5x", "--gain: '1.5x'"},
+        {"--gain=", "--gain: ''"},
+        {"--gain=1e999", "--gain: '1e999'"},
+        {"--gain=nan", "--gain: 'nan'"},
+        {"--rebuild-device=yes", "--rebuild-device: 'yes'"},
+        {"--rebuild-device=", "--rebuild-device: ''"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EXIT(parseBenchFlags({c.flag}),
+                    ::testing::ExitedWithCode(bench::FlagSet::kExitUsage),
+                    std::string("bad value for ") + c.message)
+            << c.flag;
+    }
 }

@@ -19,21 +19,21 @@
  * Two thirds of the seeds mix latency-sensitive and throughput lanes
  * (with a tighter latency-class deadline); the rest keep every lane in
  * the throughput class, pinning the single-class reduction to the
- * original classless policy. The seeds also rotate through the
- * selectTenant overloads: per-tenant quota vectors (the scheduler's
- * size-aware coalescing), preference scores with a bounded-lateness
- * slack (affinity), and the scalar path, so every overload is checked
- * against the one generalized shadow policy.
+ * original classless policy. The seeds also rotate through both
+ * selectTenant overloads: the affinity overload with per-tenant quota
+ * vectors alone (zero preferences, zero slack), with preference scores
+ * under a bounded-lateness slack, or both, and the scalar path, so
+ * every overload is checked against the one generalized shadow policy.
  *
  * A second fuzz (SchedulerFuzz) drives two identical
- * service/scheduler.hh instances through random place / steal / launch
- * / retire traces and asserts: replay identity (placements, launch
- * order and the steal log are pure functions of the call sequence),
- * conservation (every placed batch launches exactly once), the
- * documented backlog order via a mirror (priority batches ahead of
- * throughput ones, steals splice the victim's tail), and that a
- * throughput launch never bypasses a planned priority batch — the
- * no-SLO-inversion property of deterministic stealing.
+ * service/scheduler.hh instances, alternating the lld and affinity
+ * policies, through random place / launch / retire traces and asserts:
+ * replay identity (placements and launch order are pure functions of
+ * the call sequence), conservation (every placed batch launches exactly
+ * once), quota bounds and monotonicity, the documented backlog order
+ * via a mirror (priority batches ahead of throughput ones), and that a
+ * throughput launch never bypasses a planned priority batch — no SLO
+ * inversion through backlog planning.
  */
 
 #include <gtest/gtest.h>
@@ -242,9 +242,10 @@ fuzzOne(uint64_t seed, FuzzResult &res)
     const bool instantService = (seed % 2) == 0;
 
     // Rotate the selectTenant overloads: some seeds drive per-tenant
-    // quota vectors (size-aware coalescing), some add preference
-    // scores under a bounded-lateness slack (affinity), and the rest
-    // stay on the scalar path so its reduction keeps getting pinned.
+    // quota vectors alone through the affinity overload (zero
+    // preferences, zero slack), some add preference scores under a
+    // bounded-lateness slack, and the rest stay on the scalar path so
+    // its reduction keeps getting pinned.
     const uint32_t mode = seed % 5;
     const bool useQuota = mode == 1 || mode == 3;
     const bool usePrefer = mode == 3 || mode == 4;
@@ -366,10 +367,9 @@ fuzzOne(uint64_t seed, FuzzResult &res)
                 for (auto &p : prefer)
                     p = rng.nextBounded(4); // small range: exercise ties
             int sel =
-                usePrefer
+                useQuota || usePrefer
                     ? q.selectTenant(now, quota, drain, prefer, slack)
-                : useQuota ? q.selectTenant(now, quota, drain)
-                           : q.selectTenant(now, maxBatch, drain);
+                    : q.selectTenant(now, maxBatch, drain);
             EXPECT_EQ(sel,
                       shadow.selectTenant(now, quota, drain, prefer,
                                           slack))
@@ -490,9 +490,12 @@ makeBatch(uint32_t t, uint32_t n, Cycle now, uint64_t &seq)
     return qs;
 }
 
-/** Drive two identical Schedulers through one random place / steal /
- *  launch / retire trace; assert replay identity, conservation, the
- *  documented backlog order via a mirror, and no SLO inversion. */
+/** The affinity quota floor (scheduler.cc's kMinQuota). */
+constexpr uint32_t kQuotaFloor = 64;
+
+/** Drive two identical Schedulers through one random place / launch /
+ *  retire trace; assert replay identity, conservation, quota bounds,
+ *  the documented backlog order via a mirror, and no SLO inversion. */
 void
 schedFuzzOne(uint64_t seed)
 {
@@ -501,22 +504,19 @@ schedFuzzOne(uint64_t seed)
         rng.nextBounded(4));
     const uint32_t numTenants = 1 + static_cast<uint32_t>(
         rng.nextBounded(5));
+    // Mostly above the quota floor, so affinity quotas spread between
+    // the floor and maxBatch; the rest pin the clamp to maxBatch.
     const uint32_t maxBatch = 8 + static_cast<uint32_t>(
-        rng.nextBounded(57));
-    static const SchedPolicy kPolicies[] = {
-        SchedPolicy::SizeAware, SchedPolicy::Affinity,
-        SchedPolicy::Steal, SchedPolicy::Full};
-    const SchedPolicy policy = kPolicies[seed % 4];
-    SchedParams params;
-    params.maxBacklog = 1 + static_cast<uint32_t>(rng.nextBounded(3));
-    params.minQuota = 1 + static_cast<uint32_t>(rng.nextBounded(8));
-    Scheduler sched(policy, params, numDevices, numTenants, maxBatch);
-    Scheduler replay(policy, params, numDevices, numTenants, maxBatch);
+        rng.nextBounded(505));
+    const SchedPolicy policy =
+        seed % 2 ? SchedPolicy::Affinity : SchedPolicy::LeastLoaded;
+    Scheduler sched(policy, numDevices, numTenants, maxBatch);
+    Scheduler replay(policy, numDevices, numTenants, maxBatch);
 
-    // Half the seeds start from a calibration probe, spreading the
-    // cost estimates so quotas, placement scores and steal thresholds
-    // all diverge per tenant.
-    if (seed % 2) {
+    // Half the seeds of each policy start from a calibration probe,
+    // spreading the cost estimates so quotas and placement scores
+    // diverge per tenant.
+    if ((seed / 2) % 2) {
         for (uint32_t t = 0; t < numTenants; ++t) {
             Cycle elapsed = (1 + rng.nextBounded(200)) * 64;
             sched.calibrate(t, 64, elapsed);
@@ -525,8 +525,8 @@ schedFuzzOne(uint64_t seed)
     }
 
     // Mirror of every device's planned backlog, maintained by the
-    // *documented* rules only: place() return values, priority-ahead
-    // insertion, and tail steals parsed back out of the steal log.
+    // *documented* rules only: place() return values and
+    // priority-ahead insertion.
     struct Pending
     {
         uint64_t id;
@@ -553,7 +553,6 @@ schedFuzzOne(uint64_t seed)
 
     const uint64_t numBatches = 60 + rng.nextBounded(100);
     uint64_t placed = 0, launched = 0, seq = 0;
-    size_t logSeen = 0;
     Cycle now = 0;
 
     for (int guard = 0; guard < 1000000 && launched < numBatches;
@@ -562,10 +561,11 @@ schedFuzzOne(uint64_t seed)
         replay.refreshQuotas();
         ASSERT_EQ(sched.quotas(), replay.quotas()) << "seed " << seed;
         for (uint32_t a = 0; a < numTenants; ++a) {
-            EXPECT_GE(sched.batchQuota(a), params.minQuota);
+            EXPECT_GE(sched.batchQuota(a), std::min(kQuotaFloor, maxBatch))
+                << "seed " << seed;
             EXPECT_LE(sched.batchQuota(a), maxBatch);
-            // Size-aware thresholds are monotone in the cost
-            // estimate: a pricier tenant never waits for more queries.
+            // Quotas are monotone in the cost estimate: a pricier
+            // tenant never waits for more queries.
             for (uint32_t b = 0; b < numTenants; ++b) {
                 if (sched.costPerQueryQ8(a) >= sched.costPerQueryQ8(b)) {
                     EXPECT_LE(sched.batchQuota(a), sched.batchQuota(b))
@@ -590,36 +590,7 @@ schedFuzzOne(uint64_t seed)
             mirrorInsert(d, placed, prio); // ids are placement order
             ++placed;
             if (rng.nextBounded(3) == 0)
-                break; // vary the place/steal/launch interleaving
-        }
-
-        sched.rebalance(now);
-        replay.rebalance(now);
-        // Apply the steal pass to the mirror from the log delta (this
-        // also pins the log format and that steals take the tail).
-        const std::string &log = sched.stealLog();
-        while (logSeen < log.size()) {
-            size_t eol = log.find('\n', logSeen);
-            ASSERT_NE(eol, std::string::npos) << "seed " << seed;
-            std::string line = log.substr(logSeen, eol - logSeen);
-            logSeen = eol + 1;
-            unsigned long long k = 0, c = 0, b = 0;
-            unsigned victim = 0, thief = 0;
-            ASSERT_EQ(std::sscanf(line.c_str(),
-                                  "s%llu c=%llu b=%llu d%u->%u", &k,
-                                  &c, &b, &victim, &thief),
-                      5)
-                << "seed " << seed << " bad steal line: " << line;
-            EXPECT_EQ(c, now) << "seed " << seed;
-            ASSERT_LT(victim, numDevices);
-            ASSERT_LT(thief, numDevices);
-            ASSERT_NE(victim, thief);
-            ASSERT_FALSE(mirror[victim].empty()) << "seed " << seed;
-            EXPECT_EQ(mirror[victim].back().id, b)
-                << "seed " << seed << ": steal was not the tail";
-            bool prio = mirror[victim].back().priority;
-            mirror[victim].pop_back();
-            mirrorInsert(thief, b, prio);
+                break; // vary the place/launch interleaving
         }
 
         for (uint32_t d = 0; d < numDevices; ++d) {
@@ -631,7 +602,7 @@ schedFuzzOne(uint64_t seed)
                 << "seed " << seed << ": replay launch order diverged";
             ASSERT_FALSE(mirror[d].empty()) << "seed " << seed;
             // Launches must follow the mirror exactly: priority ahead
-            // of throughput, FIFO within a class, stolen tails spliced.
+            // of throughput, FIFO within a class.
             EXPECT_EQ(b.id, mirror[d].front().id) << "seed " << seed;
             EXPECT_EQ(b.priority, mirror[d].front().priority);
             mirror[d].pop_front();
@@ -685,16 +656,10 @@ schedFuzzOne(uint64_t seed)
     for (uint64_t id = 0; id < placed; ++id)
         EXPECT_EQ(timesLaunched[id], 1)
             << "seed " << seed << " batch " << id;
-    uint64_t dispatches = 0, steals = 0;
-    for (uint32_t d = 0; d < numDevices; ++d) {
+    uint64_t dispatches = 0;
+    for (uint32_t d = 0; d < numDevices; ++d)
         dispatches += sched.dispatches(d);
-        steals += sched.steals(d);
-    }
     EXPECT_EQ(dispatches, launched) << "seed " << seed;
-    EXPECT_EQ(steals, sched.stealsTotal()) << "seed " << seed;
-    // Replay identity extends to the whole steal schedule.
-    EXPECT_EQ(sched.stealLog(), replay.stealLog()) << "seed " << seed;
-    EXPECT_EQ(sched.stealsTotal(), replay.stealsTotal());
 }
 
 } // namespace
@@ -816,101 +781,23 @@ TEST(SchedulerFuzz, RandomTraces)
 TEST(Scheduler, PriorityBatchJumpsBacklog)
 {
     // Planned priority batches run before planned throughput batches
-    // but behind earlier priority plans: place tp, prio, tp, prio on
-    // one device and read them back.
-    SchedParams params;
-    params.maxBacklog = 4;
-    Scheduler s(SchedPolicy::SizeAware, params, 1, 1, 16);
+    // but behind earlier priority plans. The affinity backlog holds
+    // two plans, so read the order back in three rounds on one device.
+    Scheduler s(SchedPolicy::Affinity, 1, 1, 256);
     uint64_t seq = 0;
-    s.place(0, makeBatch(0, 4, 0, seq), false, /*priority=*/false, 0);
-    s.place(0, makeBatch(0, 4, 0, seq), false, /*priority=*/true, 0);
-    s.place(0, makeBatch(0, 4, 0, seq), false, /*priority=*/false, 0);
-    s.place(0, makeBatch(0, 4, 0, seq), false, /*priority=*/true, 0);
-    ASSERT_EQ(s.plannedBatches(), 4u);
-    EXPECT_EQ(s.takeReady(0).id, 1u); // first priority plan
-    EXPECT_EQ(s.takeReady(0).id, 3u); // second priority plan
-    EXPECT_EQ(s.takeReady(0).id, 0u); // then throughput, FIFO
+    auto place = [&](bool priority) {
+        return s.place(0, makeBatch(0, 4, 0, seq), false, priority, 0);
+    };
+    place(/*priority=*/false); // b0
+    place(/*priority=*/true);  // b1 jumps b0
+    EXPECT_FALSE(s.hasRoom());
+    EXPECT_EQ(s.takeReady(0).id, 1u);
+    place(/*priority=*/true); // b2 jumps b0 too
     EXPECT_EQ(s.takeReady(0).id, 2u);
+    EXPECT_EQ(s.takeReady(0).id, 0u);
+    place(/*priority=*/true); // b3
+    place(/*priority=*/true); // b4 queues behind b3
+    EXPECT_EQ(s.takeReady(0).id, 3u);
+    EXPECT_EQ(s.takeReady(0).id, 4u);
     EXPECT_EQ(s.plannedBatches(), 0u);
-}
-
-TEST(Scheduler, StealMovesTailToIdleDevice)
-{
-    // Two devices saturate, then one frees early with nothing planned:
-    // the steal pass must move the loaded device's tail batch over,
-    // log it, and leave it launchable on the thief.
-    SchedParams params;
-    params.maxBacklog = 2;
-    Scheduler s(SchedPolicy::Steal, params, 2, 1, 64);
-    uint64_t seq = 0;
-
-    // Launch one full batch on each device (est cost 64 q * 64 cyc).
-    for (uint32_t d = 0; d < 2; ++d) {
-        s.place(0, makeBatch(0, 64, 0, seq), false, false, 0);
-        Scheduler::Batch b = s.takeReady(d);
-        ASSERT_EQ(b.id, d);
-        s.onLaunch(d, b, 0);
-    }
-    // A third batch backlogs on device 0 (estimated loads tie; lowest
-    // index wins).
-    EXPECT_EQ(s.place(0, makeBatch(0, 64, 0, seq), false, false, 0),
-              0u);
-
-    // Device 1 retires early; device 0 still has ~4000 est cycles in
-    // flight plus the planned batch, so the idle device steals it.
-    s.onRetire(1, 0, 64, /*complete=*/100, /*elapsed=*/100);
-    s.rebalance(/*now=*/100);
-    EXPECT_EQ(s.stealsTotal(), 1u);
-    EXPECT_EQ(s.steals(1), 1u);
-    EXPECT_EQ(s.stealLog(), "s1 c=100 b=2 d0->1\n");
-    ASSERT_TRUE(s.hasReady(1));
-    EXPECT_FALSE(s.hasReady(0));
-    EXPECT_EQ(s.takeReady(1).id, 2u);
-}
-
-TEST(Scheduler, StealSkipsPriorityTailUnlessThiefBacklogEmpty)
-{
-    // A stolen batch is re-queued with the SLO-order insert, so a
-    // priority tail would jump *ahead* of the thief's queued
-    // throughput plans and delay their estimated starts — the steal
-    // pass must leave it in place until the thief's backlog is empty
-    // (where the priority insert degenerates to an append).
-    SchedParams params;
-    params.maxBacklog = 2;
-    Scheduler s(SchedPolicy::Steal, params, 2, 1, 64);
-    uint64_t seq = 0;
-
-    // Saturate both devices with one full batch each (b0, b1).
-    for (uint32_t d = 0; d < 2; ++d) {
-        s.place(0, makeBatch(0, 64, 0, seq), false, false, 0);
-        Scheduler::Batch b = s.takeReady(d);
-        ASSERT_EQ(b.id, d);
-        s.onLaunch(d, b, 0);
-    }
-    // A priority batch backlogs on device 0 (loads tie, lowest index
-    // wins), then a small throughput batch lands on device 1.
-    EXPECT_EQ(s.place(0, makeBatch(0, 64, 0, seq), false,
-                      /*priority=*/true, 0),
-              0u);
-    EXPECT_EQ(s.place(0, makeBatch(0, 8, 0, seq), false, false, 0), 1u);
-
-    // Device 1 frees early. It qualifies as a thief, but its backlog
-    // still holds the throughput plan: the priority tail on device 0
-    // must not be stolen over it.
-    s.onRetire(1, 0, 64, /*complete=*/600, /*elapsed=*/600);
-    s.rebalance(/*now=*/600);
-    EXPECT_EQ(s.stealsTotal(), 0u);
-
-    // Once the thief's own plan launches (backlog empty), the
-    // priority tail may move: the insert is an append now, so no
-    // thief-side batch gets later.
-    Scheduler::Batch b = s.takeReady(1);
-    ASSERT_EQ(b.id, 3u);
-    s.onLaunch(1, b, 600);
-    s.rebalance(/*now=*/600);
-    EXPECT_EQ(s.stealsTotal(), 1u);
-    EXPECT_EQ(s.stealLog(), "s1 c=600 b=2 d0->1\n");
-    ASSERT_TRUE(s.hasReady(1));
-    EXPECT_EQ(s.takeReady(1).id, 2u);
-    EXPECT_FALSE(s.hasReady(0));
 }
