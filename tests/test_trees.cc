@@ -112,6 +112,92 @@ TEST(BTree, BStarIsShallower)
     EXPECT_LE(bstar.numNodes(), b.numNodes());
 }
 
+namespace {
+
+/** FNV-1a over a serialized image. */
+uint64_t
+hashImage(const mem::GlobalMemory &gmem, uint64_t base, size_t bytes)
+{
+    std::vector<uint8_t> buf(bytes);
+    gmem.readBytes(base, buf.data(), bytes);
+    uint64_t h = 1469598103934665603ull;
+    for (uint8_t b : buf) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(BTreeImage, BytesAndShapeMatchPinnedValues)
+{
+    // Pinned from the tree built as per-node vectors and BFS-reordered at
+    // serialize time: the flat bulk load must emit the same bytes.
+    struct Pin
+    {
+        BTreeKind kind;
+        size_t keys;
+        uint64_t hash;
+        size_t nodes;
+        uint32_t height;
+    };
+    const Pin pins[] = {
+        {BTreeKind::BTree, 0, 0xad8b33fc92a1b99bull, 1, 1},
+        {BTreeKind::BTree, 1, 0x63df23ece4db92fdull, 1, 1},
+        {BTreeKind::BTree, 8, 0x75b8e18cb2f22210ull, 1, 1},
+        {BTreeKind::BTree, 9, 0x23d9656ff30593a3ull, 7, 2},
+        {BTreeKind::BTree, 5000, 0x68f57e67a242eb48ull, 1555, 5},
+        {BTreeKind::BTree, 100000, 0x37eb5da7fcb8c376ull, 55987, 7},
+        {BTreeKind::BStarTree, 0, 0xad8b33fc92a1b99bull, 1, 1},
+        {BTreeKind::BStarTree, 1, 0x63df23ece4db92fdull, 1, 1},
+        {BTreeKind::BStarTree, 8, 0x75b8e18cb2f22210ull, 1, 1},
+        {BTreeKind::BStarTree, 9, 0x90d77f265aa15239ull, 9, 2},
+        {BTreeKind::BStarTree, 5000, 0x11a9c44bdb3b95d7ull, 3729, 5},
+        {BTreeKind::BStarTree, 100000, 0x5b6da8c2296ed574ull, 37449, 6},
+        {BTreeKind::BPlusTree, 0, 0x8dc0211664b4da9dull, 1, 1},
+        {BTreeKind::BPlusTree, 1, 0x5e63f3cf237bebfbull, 1, 1},
+        {BTreeKind::BPlusTree, 8, 0xf0de999351b42bedull, 3, 2},
+        {BTreeKind::BPlusTree, 9, 0x72e68eb6a02781b8ull, 3, 2},
+        {BTreeKind::BPlusTree, 5000, 0xc646d9166b9a617full, 976, 5},
+        {BTreeKind::BPlusTree, 100000, 0xeeb28747131defa4ull, 19446, 6},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(std::string(bTreeKindName(pin.kind)) + " with " +
+                     std::to_string(pin.keys) + " keys");
+        // Keys 2n, ..., 4, 2 in reverse order, plus one duplicate.
+        std::vector<float> keys;
+        for (size_t i = pin.keys; i >= 1; --i)
+            keys.push_back(2.0f * static_cast<float>(i));
+        if (pin.keys > 0)
+            keys.push_back(keys[keys.size() / 2]);
+        BTree tree(pin.kind, keys);
+        EXPECT_EQ(tree.numKeys(), pin.keys);
+        EXPECT_EQ(tree.numNodes(), pin.nodes);
+        EXPECT_EQ(tree.height(), pin.height);
+
+        // Allocate first so the image lands at a non-zero base and its
+        // child addresses must be relocated.
+        mem::GlobalMemory gmem(4u << 20);
+        gmem.alloc(100);
+        uint64_t root = tree.serialize(gmem);
+        EXPECT_EQ(hashImage(gmem, root,
+                            tree.numNodes() * BTreeNodeLayout::kNodeBytes),
+                  pin.hash);
+
+        // Every key (even) and every gap around them (odd) agree.
+        for (size_t q = 0; q <= 2 * pin.keys + 1; ++q) {
+            float query = static_cast<float>(q);
+            auto host = tree.search(query);
+            auto dev = BTree::searchSerialized(gmem, root, query);
+            bool is_key = q > 0 && q % 2 == 0;
+            ASSERT_EQ(host.found, is_key) << "query " << q;
+            ASSERT_EQ(dev.found, is_key) << "query " << q;
+            ASSERT_EQ(host.depth, dev.depth) << "query " << q;
+        }
+    }
+}
+
 // --- BVH ---------------------------------------------------------------
 
 TEST(Bvh, LeavesPartitionPrimitives)
