@@ -43,7 +43,7 @@ BTreeSpec::processNode(rta::RayState &ray, rta::NodeRef ref)
     using L = BTreeNodeLayout;
     uint32_t flags = gmem_->read<uint32_t>(ref + L::kOffFlags);
     bool leaf = flags & L::kLeafFlag;
-    bool router = flags & 2u;
+    bool router = flags & L::kRouterFlag;
     uint32_t child_base = gmem_->read<uint32_t>(ref + L::kOffChildBase);
     float keys[L::kWidth];
     for (uint32_t i = 0; i < L::kWidth; ++i)
