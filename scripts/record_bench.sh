@@ -1,21 +1,12 @@
 #!/usr/bin/env bash
-# Record the benchmark sections BENCH_4 and BENCH_7-BENCH_10.
+# Record the benchmark sections BENCH_8-BENCH_10.
 #
-# BENCH_4: runs bench_speed (every workload under both serial kernels,
-# verifying the simulated cycle counts match) and times a serial
-# bench_fig12_speedup sweep under the polling and event kernels.
-#
-# BENCH_5 and BENCH_6 recorded a threaded simulation kernel that has
-# since been deleted; the committed BENCH_5.json and BENCH_6.json stay
-# as history and are no longer re-recorded.
-#
-# BENCH_7: the wide-SoA functional section of bench_speed (scalar binary
-# trees vs the 4/8-wide SoA layouts on the batched SIMD kernels, with
-# result-identity checks). The header records the host's SIMD capability
-# — the CPU flags from /proc/cpuinfo and the backend geom/simd.hh
-# compiled in — because the numbers are meaningless without it; the
-# wide-speedup gate is enforced only when the backend is a real vector
-# ISA (the scalar fallback has nothing to gate).
+# BENCH_4-BENCH_7 stay committed as history and are no longer
+# re-recorded: BENCH_5 and BENCH_6 measured a threaded simulation kernel
+# that has since been deleted, and BENCH_4 and BENCH_7 came from a
+# host-time harness that was deleted with the vector backends of the
+# batched intersection tests. perfbench (BENCHMARK.json) is the
+# host-time benchmark.
 #
 # BENCH_8: the traversal-as-a-service layer (bench_service): five
 # traffic scenarios (Poisson/bursty/closed-loop, mixed tenants,
@@ -46,29 +37,20 @@
 # saturated throughput at 4 devices with p99 not regressed (exit 7);
 # throughput is simulated cycles, host-independent.
 #
-# Usage: scripts/record_bench.sh [build-dir] [bench4-out] [bench7-out] \
-#            [bench8-out] [bench9-out] [bench10-out]
+# Usage: scripts/record_bench.sh [build-dir] [bench8-out] [bench9-out] \
+#            [bench10-out]
 #
-# RECORD_SECTIONS=4,7,8,9,10 (default: all) picks which BENCH_N
-# sections run — e.g. RECORD_SECTIONS=9 records only the overload
-# study.
-#
-# The pre-refactor fig12 baseline (the polling kernel before the
-# event-driven scheduler and its profiling-driven fixes landed, commit
-# ff093bb) is recorded as a constant: it cannot be re-measured from this
-# tree. Override with PRE_REFACTOR_POLLING_WALL_S if you re-measure it.
+# RECORD_SECTIONS=8,9,10 (default: all) picks which BENCH_N sections
+# run — e.g. RECORD_SECTIONS=9 records only the overload study.
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD=${1:-build}
-OUT=${2:-BENCH_4.json}
-OUT7=${3:-BENCH_7.json}
-OUT8=${4:-BENCH_8.json}
-OUT9=${5:-BENCH_9.json}
-OUT10=${6:-BENCH_10.json}
-PRE=${PRE_REFACTOR_POLLING_WALL_S:-110.9}
-SECTIONS=${RECORD_SECTIONS:-4,7,8,9,10}
+OUT8=${2:-BENCH_8.json}
+OUT9=${3:-BENCH_9.json}
+OUT10=${4:-BENCH_10.json}
+SECTIONS=${RECORD_SECTIONS:-8,9,10}
 HOST_CORES=$(nproc)
 
 # want N: is section BENCH_N selected?
@@ -79,137 +61,9 @@ want() {
     esac
 }
 
-SPEED_JSON=$(mktemp)
-BENCH7_DIR= BENCH8_DIR= BENCH9_DIR= BENCH10_DIR=
-trap 'rm -rf "$SPEED_JSON" ${BENCH7_DIR:+"$BENCH7_DIR"} \
-    ${BENCH8_DIR:+"$BENCH8_DIR"} ${BENCH9_DIR:+"$BENCH9_DIR"} \
+BENCH8_DIR= BENCH9_DIR= BENCH10_DIR=
+trap 'rm -rf ${BENCH8_DIR:+"$BENCH8_DIR"} ${BENCH9_DIR:+"$BENCH9_DIR"} \
     ${BENCH10_DIR:+"$BENCH10_DIR"}' EXIT
-
-if want 4; then
-
-echo "== bench_speed (polling vs event per workload) =="
-"$BUILD"/bench/bench_speed --json="$SPEED_JSON"
-
-time_fig12() {
-    local kernel=$1
-    local start end
-    start=$(date +%s.%N)
-    TTA_SIM_KERNEL="$kernel" "$BUILD"/bench/bench_fig12_speedup \
-        --jobs=1 >/dev/null
-    end=$(date +%s.%N)
-    echo "$start $end" | awk '{printf "%.2f", $2 - $1}'
-}
-
-echo "== fig12 sweep, polling kernel =="
-FIG12_POLLING=$(time_fig12 polling)
-echo "wall_s: $FIG12_POLLING"
-echo "== fig12 sweep, event kernel =="
-FIG12_EVENT=$(time_fig12 event)
-echo "wall_s: $FIG12_EVENT"
-
-python3 - "$SPEED_JSON" "$OUT" "$PRE" "$FIG12_POLLING" "$FIG12_EVENT" <<'EOF'
-import json
-import sys
-
-speed_json, out, pre, polling, event = sys.argv[1:6]
-pre, polling, event = float(pre), float(polling), float(event)
-speed = json.load(open(speed_json))
-report = {
-    "bench": "BENCH_4",
-    "description": "simulator wall-clock: event-driven kernel vs "
-                   "polling reference (identical simulated cycles)",
-    "bench_speed": speed,
-    "fig12": {
-        "command": "bench_fig12_speedup --jobs=1",
-        "pre_refactor_polling_wall_s": pre,
-        "pre_refactor_note": "polling kernel before the event-driven "
-                             "scheduler PR (commit ff093bb)",
-        "wall_s_polling": polling,
-        "wall_s_event": event,
-        "speedup_vs_pre_refactor": round(pre / event, 2),
-        "speedup_vs_current_polling": round(polling / event, 2),
-    },
-}
-json.dump(report, open(out, "w"), indent=2)
-print(f"wrote {out}: fig12 {pre:.1f}s -> {event:.1f}s "
-      f"({pre / event:.2f}x vs pre-refactor baseline)")
-EOF
-
-fi # want 4
-
-# ---------------------------------------------------------------------
-# BENCH_7: wide SoA node layouts vs scalar trees (SIMD functional path).
-# ---------------------------------------------------------------------
-
-if want 7; then
-
-BENCH7_DIR=$(mktemp -d)
-
-# Host SIMD capability: the vector flags the CPU advertises. Empty on
-# non-x86 hosts without /proc/cpuinfo flags (e.g. some ARM kernels).
-SIMD_FLAGS=$(grep -m1 -E '^(flags|Features)' /proc/cpuinfo 2>/dev/null \
-    | tr ' ' '\n' \
-    | grep -E '^(sse|sse2|sse3|ssse3|sse4_1|sse4_2|avx|avx2|avx512f|fma|neon|asimd)$' \
-    | paste -sd, - || true)
-
-echo "== bench_speed, wide SoA functional section =="
-"$BUILD"/bench/bench_speed --bench=wide --json="$BENCH7_DIR/wide.json"
-
-python3 - "$BENCH7_DIR/wide.json" "$OUT7" "$SIMD_FLAGS" "$HOST_CORES" <<'EOF'
-import json
-import sys
-
-wide_json, out, simd_flags, host_cores = sys.argv[1:5]
-doc = json.load(open(wide_json))
-backend = doc.get("simd_backend", "unknown")
-wide = doc.get("wide", [])
-
-gated = [w for w in wide if w["gated"]]
-worst_gated = min((w["speedup"] for w in gated), default=0.0)
-all_identical = all(w["identical_results"] for w in wide)
-
-notes = [
-    "speedup = scalar binary-tree wall clock / best wide-SoA wall "
-    "clock on the same queries; identical_results means the wide "
-    "layouts returned bit-identical answers (checked per run, "
-    "bench_speed exits 2 otherwise).",
-]
-if backend == "scalar":
-    notes.append(
-        "compiled with the scalar SIMD fallback: the wide-vs-scalar "
-        "gate is skipped (there are no vector units to measure); "
-        "rebuild without -DTTA_SIMD=OFF on a vector-capable host to "
-        "populate meaningful ratios."
-    )
-
-report = {
-    "bench": "BENCH_7",
-    "description": "functional wall-clock: wide SoA node layouts on "
-                   "the batched SIMD kernels vs the scalar binary "
-                   "trees (identical query results)",
-    "host_cores": int(host_cores),
-    "simd_backend": backend,
-    "cpu_simd_flags": simd_flags.split(",") if simd_flags else [],
-    "wide": wide,
-    "summary": {
-        "worst_gated_speedup": round(worst_gated, 3),
-        "all_results_identical": all_identical,
-        "gate": "worst gated config (wide/raytrace, wide/rtnn) >= "
-                "1.05x when simd_backend != scalar",
-    },
-    "notes": notes,
-}
-json.dump(report, open(out, "w"), indent=2)
-print(f"wrote {out}: backend {backend}, worst gated speedup "
-      f"{worst_gated:.2f}x, identical={all_identical}")
-EOF
-
-# Enforce the gate in a second, cheap pass (prints and exits nonzero on
-# regression; auto-skips itself on the scalar backend).
-"$BUILD"/bench/bench_speed --bench=wide --check-wide-speedup=1.05 \
-    >/dev/null
-
-fi # want 7
 
 # ---------------------------------------------------------------------
 # BENCH_8: traversal-as-a-service throughput and latency SLOs.

@@ -100,9 +100,7 @@ queryKeyCompare(float query, const float *keys, int n_keys)
 }
 
 // ---------------------------------------------------------------------
-// Batched SoA tests (backend from geom/simd.hh). Kept out of line like
-// the scalar tests so wall-clock comparisons measure the vectorization,
-// not inlining differences.
+// Batched SoA tests: one loop over all eight lanes, masked to `count`.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -115,21 +113,6 @@ laneMask(int count)
     return count >= 8 ? 0xffu : ((1u << count) - 1u);
 }
 
-#if defined(TTA_SIMD_BACKEND_NEON)
-
-/** Lane bitmask from an all-ones/all-zeros compare result. */
-inline uint32_t
-neonMask4(uint32x4_t m)
-{
-    const uint32_t bit_values[4] = {1u, 2u, 4u, 8u};
-    uint32x4_t bits = vandq_u32(m, vld1q_u32(bit_values));
-    uint32x2_t sum = vadd_u32(vget_low_u32(bits), vget_high_u32(bits));
-    sum = vpadd_u32(sum, sum);
-    return vget_lane_u32(sum, 0);
-}
-
-#endif
-
 } // namespace
 
 uint32_t
@@ -138,77 +121,6 @@ rayBoxBatch(const Ray &ray, const WideBoxes &boxes, int count,
 {
     const float *lo[3] = {boxes.lox, boxes.loy, boxes.loz};
     const float *hi[3] = {boxes.hix, boxes.hiy, boxes.hiz};
-#if defined(TTA_SIMD_BACKEND_AVX2)
-    __m256 tenter = _mm256_set1_ps(ray.tmin);
-    __m256 texit = _mm256_set1_ps(ray.tmax);
-    for (int axis = 0; axis < 3; ++axis) {
-        float inv = 1.0f / ray.dir[axis];
-        // `inv` is uniform across lanes, so the scalar test's swap
-        // becomes a branchless near/far plane-array pick.
-        const float *near_p = inv < 0.0f ? hi[axis] : lo[axis];
-        const float *far_p = inv < 0.0f ? lo[axis] : hi[axis];
-        __m256 o = _mm256_set1_ps(ray.origin[axis]);
-        __m256 vi = _mm256_set1_ps(inv);
-        __m256 t0 =
-            _mm256_mul_ps(_mm256_sub_ps(_mm256_load_ps(near_p), o), vi);
-        __m256 t1 =
-            _mm256_mul_ps(_mm256_sub_ps(_mm256_load_ps(far_p), o), vi);
-        // MAXPS(t0, acc) = t0 > acc ? t0 : acc — a NaN plane distance
-        // keeps the accumulator, matching std::fmax(acc, t0) because
-        // the accumulator is never NaN.
-        tenter = _mm256_max_ps(t0, tenter);
-        texit = _mm256_min_ps(t1, texit);
-    }
-    _mm256_store_ps(tenter_out, tenter);
-    uint32_t hits = static_cast<uint32_t>(
-        _mm256_movemask_ps(_mm256_cmp_ps(tenter, texit, _CMP_LE_OQ)));
-#elif defined(TTA_SIMD_BACKEND_SSE2)
-    uint32_t hits = 0;
-    for (int base = 0; base < 8; base += 4) {
-        __m128 tenter = _mm_set1_ps(ray.tmin);
-        __m128 texit = _mm_set1_ps(ray.tmax);
-        for (int axis = 0; axis < 3; ++axis) {
-            float inv = 1.0f / ray.dir[axis];
-            const float *near_p = inv < 0.0f ? hi[axis] : lo[axis];
-            const float *far_p = inv < 0.0f ? lo[axis] : hi[axis];
-            __m128 o = _mm_set1_ps(ray.origin[axis]);
-            __m128 vi = _mm_set1_ps(inv);
-            __m128 t0 =
-                _mm_mul_ps(_mm_sub_ps(_mm_load_ps(near_p + base), o), vi);
-            __m128 t1 =
-                _mm_mul_ps(_mm_sub_ps(_mm_load_ps(far_p + base), o), vi);
-            tenter = _mm_max_ps(t0, tenter);
-            texit = _mm_min_ps(t1, texit);
-        }
-        _mm_store_ps(tenter_out + base, tenter);
-        hits |= static_cast<uint32_t>(
-                    _mm_movemask_ps(_mm_cmple_ps(tenter, texit)))
-                << base;
-    }
-#elif defined(TTA_SIMD_BACKEND_NEON)
-    uint32_t hits = 0;
-    for (int base = 0; base < 8; base += 4) {
-        float32x4_t tenter = vdupq_n_f32(ray.tmin);
-        float32x4_t texit = vdupq_n_f32(ray.tmax);
-        for (int axis = 0; axis < 3; ++axis) {
-            float inv = 1.0f / ray.dir[axis];
-            const float *near_p = inv < 0.0f ? hi[axis] : lo[axis];
-            const float *far_p = inv < 0.0f ? lo[axis] : hi[axis];
-            float32x4_t o = vdupq_n_f32(ray.origin[axis]);
-            float32x4_t vi = vdupq_n_f32(inv);
-            float32x4_t t0 =
-                vmulq_f32(vsubq_f32(vld1q_f32(near_p + base), o), vi);
-            float32x4_t t1 =
-                vmulq_f32(vsubq_f32(vld1q_f32(far_p + base), o), vi);
-            // vbsl select, not vmaxq: NEON max propagates NaN, but the
-            // required semantics are t0 > acc ? t0 : acc (NaN keeps acc).
-            tenter = vbslq_f32(vcgtq_f32(t0, tenter), t0, tenter);
-            texit = vbslq_f32(vcltq_f32(t1, texit), t1, texit);
-        }
-        vst1q_f32(tenter_out + base, tenter);
-        hits |= neonMask4(vcleq_f32(tenter, texit)) << base;
-    }
-#else
     uint32_t hits = 0;
     for (int i = 0; i < 8; ++i) {
         float tenter = ray.tmin;
@@ -220,8 +132,7 @@ rayBoxBatch(const Ray &ray, const WideBoxes &boxes, int count,
             float t0 = (near_p[i] - ray.origin[axis]) * inv;
             float t1 = (far_p[i] - ray.origin[axis]) * inv;
             // Select on compare, not std::fmax: a NaN plane distance
-            // must keep the accumulator with the vector backends' exact
-            // tie behavior.
+            // keeps the accumulator, and so does a tie.
             tenter = t0 > tenter ? t0 : tenter;
             texit = t1 < texit ? t1 : texit;
         }
@@ -229,60 +140,12 @@ rayBoxBatch(const Ray &ray, const WideBoxes &boxes, int count,
         if (tenter <= texit)
             hits |= 1u << i;
     }
-#endif
     return hits & laneMask(count);
 }
 
 uint32_t
 pointInBoxBatch(const Vec3 &p, const WideBoxes &boxes, int count)
 {
-#if defined(TTA_SIMD_BACKEND_AVX2)
-    __m256 px = _mm256_set1_ps(p.x);
-    __m256 py = _mm256_set1_ps(p.y);
-    __m256 pz = _mm256_set1_ps(p.z);
-    __m256 m = _mm256_and_ps(
-        _mm256_cmp_ps(px, _mm256_load_ps(boxes.lox), _CMP_GE_OQ),
-        _mm256_cmp_ps(px, _mm256_load_ps(boxes.hix), _CMP_LE_OQ));
-    m = _mm256_and_ps(
-        m, _mm256_cmp_ps(py, _mm256_load_ps(boxes.loy), _CMP_GE_OQ));
-    m = _mm256_and_ps(
-        m, _mm256_cmp_ps(py, _mm256_load_ps(boxes.hiy), _CMP_LE_OQ));
-    m = _mm256_and_ps(
-        m, _mm256_cmp_ps(pz, _mm256_load_ps(boxes.loz), _CMP_GE_OQ));
-    m = _mm256_and_ps(
-        m, _mm256_cmp_ps(pz, _mm256_load_ps(boxes.hiz), _CMP_LE_OQ));
-    uint32_t hits = static_cast<uint32_t>(_mm256_movemask_ps(m));
-#elif defined(TTA_SIMD_BACKEND_SSE2)
-    uint32_t hits = 0;
-    __m128 px = _mm_set1_ps(p.x);
-    __m128 py = _mm_set1_ps(p.y);
-    __m128 pz = _mm_set1_ps(p.z);
-    for (int base = 0; base < 8; base += 4) {
-        __m128 m =
-            _mm_and_ps(_mm_cmpge_ps(px, _mm_load_ps(boxes.lox + base)),
-                       _mm_cmple_ps(px, _mm_load_ps(boxes.hix + base)));
-        m = _mm_and_ps(m, _mm_cmpge_ps(py, _mm_load_ps(boxes.loy + base)));
-        m = _mm_and_ps(m, _mm_cmple_ps(py, _mm_load_ps(boxes.hiy + base)));
-        m = _mm_and_ps(m, _mm_cmpge_ps(pz, _mm_load_ps(boxes.loz + base)));
-        m = _mm_and_ps(m, _mm_cmple_ps(pz, _mm_load_ps(boxes.hiz + base)));
-        hits |= static_cast<uint32_t>(_mm_movemask_ps(m)) << base;
-    }
-#elif defined(TTA_SIMD_BACKEND_NEON)
-    uint32_t hits = 0;
-    float32x4_t px = vdupq_n_f32(p.x);
-    float32x4_t py = vdupq_n_f32(p.y);
-    float32x4_t pz = vdupq_n_f32(p.z);
-    for (int base = 0; base < 8; base += 4) {
-        uint32x4_t m =
-            vandq_u32(vcgeq_f32(px, vld1q_f32(boxes.lox + base)),
-                      vcleq_f32(px, vld1q_f32(boxes.hix + base)));
-        m = vandq_u32(m, vcgeq_f32(py, vld1q_f32(boxes.loy + base)));
-        m = vandq_u32(m, vcleq_f32(py, vld1q_f32(boxes.hiy + base)));
-        m = vandq_u32(m, vcgeq_f32(pz, vld1q_f32(boxes.loz + base)));
-        m = vandq_u32(m, vcleq_f32(pz, vld1q_f32(boxes.hiz + base)));
-        hits |= neonMask4(m) << base;
-    }
-#else
     uint32_t hits = 0;
     for (int i = 0; i < 8; ++i) {
         bool in = p.x >= boxes.lox[i] && p.x <= boxes.hix[i] &&
@@ -291,7 +154,6 @@ pointInBoxBatch(const Vec3 &p, const WideBoxes &boxes, int count)
         if (in)
             hits |= 1u << i;
     }
-#endif
     return hits & laneMask(count);
 }
 
@@ -299,48 +161,6 @@ uint32_t
 rectOverlapBatch(float qx0, float qy0, float qx1, float qy1,
                  const WideRects &rects, int count)
 {
-#if defined(TTA_SIMD_BACKEND_AVX2)
-    __m256 vqx0 = _mm256_set1_ps(qx0);
-    __m256 vqy0 = _mm256_set1_ps(qy0);
-    __m256 vqx1 = _mm256_set1_ps(qx1);
-    __m256 vqy1 = _mm256_set1_ps(qy1);
-    __m256 m = _mm256_and_ps(
-        _mm256_cmp_ps(_mm256_load_ps(rects.x0), vqx1, _CMP_LE_OQ),
-        _mm256_cmp_ps(vqx0, _mm256_load_ps(rects.x1), _CMP_LE_OQ));
-    m = _mm256_and_ps(
-        m, _mm256_cmp_ps(_mm256_load_ps(rects.y0), vqy1, _CMP_LE_OQ));
-    m = _mm256_and_ps(
-        m, _mm256_cmp_ps(vqy0, _mm256_load_ps(rects.y1), _CMP_LE_OQ));
-    uint32_t hits = static_cast<uint32_t>(_mm256_movemask_ps(m));
-#elif defined(TTA_SIMD_BACKEND_SSE2)
-    uint32_t hits = 0;
-    __m128 vqx0 = _mm_set1_ps(qx0);
-    __m128 vqy0 = _mm_set1_ps(qy0);
-    __m128 vqx1 = _mm_set1_ps(qx1);
-    __m128 vqy1 = _mm_set1_ps(qy1);
-    for (int base = 0; base < 8; base += 4) {
-        __m128 m =
-            _mm_and_ps(_mm_cmple_ps(_mm_load_ps(rects.x0 + base), vqx1),
-                       _mm_cmple_ps(vqx0, _mm_load_ps(rects.x1 + base)));
-        m = _mm_and_ps(m, _mm_cmple_ps(_mm_load_ps(rects.y0 + base), vqy1));
-        m = _mm_and_ps(m, _mm_cmple_ps(vqy0, _mm_load_ps(rects.y1 + base)));
-        hits |= static_cast<uint32_t>(_mm_movemask_ps(m)) << base;
-    }
-#elif defined(TTA_SIMD_BACKEND_NEON)
-    uint32_t hits = 0;
-    float32x4_t vqx0 = vdupq_n_f32(qx0);
-    float32x4_t vqy0 = vdupq_n_f32(qy0);
-    float32x4_t vqx1 = vdupq_n_f32(qx1);
-    float32x4_t vqy1 = vdupq_n_f32(qy1);
-    for (int base = 0; base < 8; base += 4) {
-        uint32x4_t m =
-            vandq_u32(vcleq_f32(vld1q_f32(rects.x0 + base), vqx1),
-                      vcleq_f32(vqx0, vld1q_f32(rects.x1 + base)));
-        m = vandq_u32(m, vcleq_f32(vld1q_f32(rects.y0 + base), vqy1));
-        m = vandq_u32(m, vcleq_f32(vqy0, vld1q_f32(rects.y1 + base)));
-        hits |= neonMask4(m) << base;
-    }
-#else
     uint32_t hits = 0;
     for (int i = 0; i < 8; ++i) {
         bool overlap = rects.x0[i] <= qx1 && qx0 <= rects.x1[i] &&
@@ -348,73 +168,6 @@ rectOverlapBatch(float qx0, float qy0, float qx1, float qy1,
         if (overlap)
             hits |= 1u << i;
     }
-#endif
-    return hits & laneMask(count);
-}
-
-uint32_t
-pointRadiusBatch(const Vec3 &q, const float px[8], const float py[8],
-                 const float pz[8], int count, float threshold,
-                 float d2_out[8])
-{
-    float r2 = threshold * threshold;
-#if defined(TTA_SIMD_BACKEND_AVX2)
-    __m256 dx = _mm256_sub_ps(_mm256_load_ps(px), _mm256_set1_ps(q.x));
-    __m256 dy = _mm256_sub_ps(_mm256_load_ps(py), _mm256_set1_ps(q.y));
-    __m256 dz = _mm256_sub_ps(_mm256_load_ps(pz), _mm256_set1_ps(q.z));
-    // Same reduction order as dot(dis, dis): (x^2 + y^2) + z^2, and
-    // -ffp-contract=off keeps the mul/add split un-fused.
-    __m256 d2 = _mm256_mul_ps(dx, dx);
-    d2 = _mm256_add_ps(d2, _mm256_mul_ps(dy, dy));
-    d2 = _mm256_add_ps(d2, _mm256_mul_ps(dz, dz));
-    _mm256_store_ps(d2_out, d2);
-    uint32_t hits = static_cast<uint32_t>(_mm256_movemask_ps(
-        _mm256_cmp_ps(d2, _mm256_set1_ps(r2), _CMP_LT_OQ)));
-#elif defined(TTA_SIMD_BACKEND_SSE2)
-    uint32_t hits = 0;
-    __m128 vr2 = _mm_set1_ps(r2);
-    for (int base = 0; base < 8; base += 4) {
-        __m128 dx =
-            _mm_sub_ps(_mm_load_ps(px + base), _mm_set1_ps(q.x));
-        __m128 dy =
-            _mm_sub_ps(_mm_load_ps(py + base), _mm_set1_ps(q.y));
-        __m128 dz =
-            _mm_sub_ps(_mm_load_ps(pz + base), _mm_set1_ps(q.z));
-        __m128 d2 = _mm_mul_ps(dx, dx);
-        d2 = _mm_add_ps(d2, _mm_mul_ps(dy, dy));
-        d2 = _mm_add_ps(d2, _mm_mul_ps(dz, dz));
-        _mm_store_ps(d2_out + base, d2);
-        hits |= static_cast<uint32_t>(_mm_movemask_ps(_mm_cmplt_ps(d2, vr2)))
-                << base;
-    }
-#elif defined(TTA_SIMD_BACKEND_NEON)
-    uint32_t hits = 0;
-    float32x4_t vr2 = vdupq_n_f32(r2);
-    for (int base = 0; base < 8; base += 4) {
-        float32x4_t dx =
-            vsubq_f32(vld1q_f32(px + base), vdupq_n_f32(q.x));
-        float32x4_t dy =
-            vsubq_f32(vld1q_f32(py + base), vdupq_n_f32(q.y));
-        float32x4_t dz =
-            vsubq_f32(vld1q_f32(pz + base), vdupq_n_f32(q.z));
-        float32x4_t d2 = vmulq_f32(dx, dx);
-        d2 = vaddq_f32(d2, vmulq_f32(dy, dy));
-        d2 = vaddq_f32(d2, vmulq_f32(dz, dz));
-        vst1q_f32(d2_out + base, d2);
-        hits |= neonMask4(vcltq_f32(d2, vr2)) << base;
-    }
-#else
-    uint32_t hits = 0;
-    for (int i = 0; i < 8; ++i) {
-        float dx = px[i] - q.x;
-        float dy = py[i] - q.y;
-        float dz = pz[i] - q.z;
-        float d2 = dx * dx + dy * dy + dz * dz;
-        d2_out[i] = d2;
-        if (d2 < r2)
-            hits |= 1u << i;
-    }
-#endif
     return hits & laneMask(count);
 }
 

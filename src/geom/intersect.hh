@@ -95,16 +95,16 @@ QueryKeyResult queryKeyCompare(float query, const float *keys, int n_keys);
  * Batched SoA intersection tests.
  *
  * These consume the wide node layouts (WideBoxes / WideRects, up to 8
- * lanes per call) with the vector backend selected in geom/simd.hh. Every
- * backend evaluates each lane with exactly the scalar tests' operation
- * order and select-on-compare min/max semantics, so per-lane results are
- * identical to the scalar functions above (only the sign of a zero may
- * differ, which all comparisons treat as equal); the property tests in
- * tests/test_geom.cc enforce this lane-for-lane.
+ * lanes per call). Each lane is evaluated with exactly the scalar tests'
+ * operation order and select-on-compare min/max semantics, so per-lane
+ * results are identical to the scalar functions above (only the sign of
+ * a zero may differ, which all comparisons treat as equal); the property
+ * tests in tests/test_geom.cc enforce this lane-for-lane.
  *
- * `count` lanes (<= 8) participate; higher lanes are masked out of the
- * returned bitmask but their output slots may still be written with
- * whatever the lane's (undefined) inputs produce.
+ * All eight lanes are evaluated; `count` lanes (<= 8) participate, and
+ * higher lanes are masked out of the returned bitmask. Their output
+ * slots are still written from whatever those lanes hold, so callers
+ * value-initialize partially filled batches.
  */
 
 /**
@@ -124,16 +124,6 @@ uint32_t pointInBoxBatch(const Vec3 &p, const WideBoxes &boxes, int count);
  */
 uint32_t rectOverlapBatch(float qx0, float qy0, float qx1, float qy1,
                           const WideRects &rects, int count);
-
-/**
- * Point-to-point distance test (pointWithinRadius) for up to 8 SoA
- * candidate points. Writes each lane's squared distance to `d2_out` and
- * returns the bitmask of lanes with d2 < threshold^2 (strict, like the
- * scalar test).
- */
-uint32_t pointRadiusBatch(const Vec3 &q, const float px[8],
-                          const float py[8], const float pz[8], int count,
-                          float threshold, float d2_out[8]);
 
 } // namespace tta::geom
 

@@ -1,78 +1,31 @@
 /**
  * @file
- * Portable SIMD backend selection for the batched functional intersection
+ * Struct-of-arrays lane types for the batched functional intersection
  * tests (geom/intersect.hh) that consume the wide SoA node layouts.
  *
- * The backend is chosen at build time from the compiler's target feature
- * macros: AVX2 (8 lanes) > SSE2 (two 4-lane halves) > NEON (two 4-lane
- * halves) > scalar. Defining TTA_SIMD_DISABLE (the -DTTA_SIMD=OFF CMake
- * option) forces the scalar fallback regardless of target features; the
- * CI scalar-fallback job builds that way so the portable path cannot rot.
- *
- * Every backend reproduces the scalar reference tests exactly: the same
- * per-lane operation order, no FMA contraction (the repo compiles with
- * -ffp-contract=off), and select-on-compare min/max semantics
- * (a > b ? a : b) so a NaN plane distance keeps the accumulated value,
- * exactly like MAXPS/MINPS and std::fmax with a non-NaN accumulator.
- * Only the sign of a zero may differ between backends, which every
- * downstream comparison treats as equal.
+ * The batched tests are plain scalar loops over eight lanes: the
+ * simulated results come from cycle-level timing models, so how fast
+ * the host evaluates a test's answer moves no result.
  */
 
 #ifndef TTA_GEOM_SIMD_HH
 #define TTA_GEOM_SIMD_HH
 
-#if defined(TTA_SIMD_DISABLE)
-#define TTA_SIMD_BACKEND_SCALAR 1
-#elif defined(__AVX2__)
-#define TTA_SIMD_BACKEND_AVX2 1
-#include <immintrin.h>
-#elif defined(__SSE2__) || defined(_M_X64) || \
-    (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
-#define TTA_SIMD_BACKEND_SSE2 1
-#include <emmintrin.h>
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
-#define TTA_SIMD_BACKEND_NEON 1
-#include <arm_neon.h>
-#else
-#define TTA_SIMD_BACKEND_SCALAR 1
-#endif
-
 namespace tta::geom {
 
-/** Compiled-in vector backend name, recorded in bench/CI JSON headers. */
+/** Host functional backend name, recorded on perfbench's host line. */
 inline const char *
 simdBackendName()
 {
-#if defined(TTA_SIMD_BACKEND_AVX2)
-    return "avx2";
-#elif defined(TTA_SIMD_BACKEND_SSE2)
-    return "sse2";
-#elif defined(TTA_SIMD_BACKEND_NEON)
-    return "neon";
-#else
     return "scalar";
-#endif
-}
-
-/** Number of float lanes the backend processes per vector op. */
-inline constexpr int
-simdLaneWidth()
-{
-#if defined(TTA_SIMD_BACKEND_AVX2)
-    return 8;
-#elif defined(TTA_SIMD_BACKEND_SSE2) || defined(TTA_SIMD_BACKEND_NEON)
-    return 4;
-#else
-    return 1;
-#endif
 }
 
 /**
- * Up to eight AABBs in struct-of-arrays form — the in-register mirror of
- * the wide BVH node layout (trees/bvh.hh). Lanes >= the batch count may
- * hold anything; the batch tests mask them out of the result.
+ * Up to eight AABBs in struct-of-arrays form — the host mirror of the
+ * wide BVH node layout (trees/bvh.hh). Lanes >= the batch count are
+ * masked out of the batch tests' results.
  */
-struct alignas(32) WideBoxes
+struct WideBoxes
 {
     float lox[8];
     float loy[8];
@@ -83,7 +36,7 @@ struct alignas(32) WideBoxes
 };
 
 /** Up to eight 2D rectangles in SoA form (the SoA R-Tree node mirror). */
-struct alignas(32) WideRects
+struct WideRects
 {
     float x0[8];
     float y0[8];

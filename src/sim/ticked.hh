@@ -128,10 +128,10 @@ class TickedComponent
  * Process-wide scheduler telemetry, aggregated across every Simulator
  * that finishes a run (finishAccounting). Golden-stat snapshots pin the
  * exact StatRegistry contents, so scheduler effectiveness is reported
- * out-of-band here instead of as registry stats; bench_speed and the CI
- * perf-smoke job read it through the workload API without needing the
- * Gpu object. Counters are atomic: `--jobs N` sweeps aggregate across
- * worker threads.
+ * out-of-band here instead of as registry stats; perfbench's `sim.*`
+ * layer metrics and the scheduler tests read it through the workload
+ * API without needing the Gpu object. Counters are atomic: `--jobs N`
+ * sweeps aggregate across worker threads.
  */
 struct SchedulerTelemetry
 {

@@ -67,7 +67,6 @@ walk(NodeAt node_at, uint64_t root, float query)
     BTreeQueryResult result;
     uint64_t cur = root;
     while (true) {
-        ++result.nodesVisited;
         ++result.depth;
         result.terminalNode = cur;
         const L &node = node_at(cur);

@@ -88,7 +88,6 @@ static_assert(offsetof(BTreeNodeLayout, keys) == BTreeNodeLayout::kOffKeys);
 struct BTreeQueryResult
 {
     bool found = false;
-    uint32_t nodesVisited = 0;
     uint32_t depth = 0;
     uint64_t terminalNode = 0; //!< address of the last node (an image
                                //!< offset for BTree::search)

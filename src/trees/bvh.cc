@@ -489,7 +489,7 @@ WideBvh::pointQuery(const geom::Vec3 &point, float radius,
         stack.pop_back();
         // Inflate per lane with the same per-float ops as the scalar
         // pointQuery (lo - r, hi + r) before the batched contains test.
-        geom::WideBoxes inflated;
+        geom::WideBoxes inflated{}; // the batch test reads all 8 lanes
         for (uint32_t i = 0; i < node.count; ++i) {
             inflated.lox[i] = node.boxes.lox[i] - radius;
             inflated.loy[i] = node.boxes.loy[i] - radius;

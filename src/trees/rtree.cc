@@ -1,11 +1,9 @@
 #include "trees/rtree.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <numeric>
 
-#include "geom/intersect.hh"
 #include "sim/logging.hh"
 
 namespace tta::trees {
@@ -122,34 +120,6 @@ RTree::buildSoaMirror()
             wide.y1[i] = rect.y1;
         }
     }
-}
-
-uint32_t
-RTree::countOverlapsSoa(const Rect2D &query) const
-{
-    uint32_t count = 0;
-    lastVisits_ = 0;
-    std::vector<uint32_t> stack{root_};
-    while (!stack.empty()) {
-        uint32_t idx = stack.back();
-        const Node &node = nodes_[idx];
-        stack.pop_back();
-        ++lastVisits_;
-        int lanes = node.leaf ? static_cast<int>(node.objCount)
-                              : static_cast<int>(node.children.size());
-        uint32_t mask =
-            geom::rectOverlapBatch(query.x0, query.y0, query.x1, query.y1,
-                                   nodeRects_[idx], lanes);
-        if (node.leaf) {
-            count += static_cast<uint32_t>(std::popcount(mask));
-            continue;
-        }
-        for (int i = 0; i < lanes; ++i) {
-            if (mask & (1u << i))
-                stack.push_back(node.children[i]);
-        }
-    }
-    return count;
 }
 
 uint32_t

@@ -100,13 +100,6 @@ class RTree
     /** Reference range query: number of objects overlapping `query`. */
     uint32_t countOverlaps(const Rect2D &query) const;
 
-    /**
-     * Batched range query over the precomputed SoA node mirror
-     * (rectOverlapBatch per node). Identical count and node-visit
-     * sequence to countOverlaps — the per-lane test is bit-equal.
-     */
-    uint32_t countOverlapsSoa(const Rect2D &query) const;
-
     /** Nodes visited by the reference query (divergence indicator). */
     uint32_t lastVisits() const { return lastVisits_; }
 

@@ -155,7 +155,7 @@ rta::NodeOutcome
 RtnnSpec::processWideInner(rta::RayState &ray, uint64_t node)
 {
     using W = trees::WideBvhNodeLayout;
-    alignas(32) unsigned char buf[256];
+    unsigned char buf[256];
     gmem_->readBytes(node, buf, nodeStride_);
 
     uint32_t refs_off = W::refsOffset(nodeWidth_, quantized_);
@@ -168,7 +168,7 @@ RtnnSpec::processWideInner(rta::RayState &ray, uint64_t node)
         ++count;
     }
 
-    geom::WideBoxes boxes;
+    geom::WideBoxes boxes{}; // the batch test reads all 8 lanes
     if (!quantized_) {
         float *planes[6] = {boxes.lox, boxes.loy, boxes.loz,
                             boxes.hix, boxes.hiy, boxes.hiz};

@@ -60,7 +60,7 @@ rta::NodeOutcome
 RTreeSpec::processNodeSoa(rta::RayState &ray, rta::NodeRef ref)
 {
     using S = RTreeNodeLayoutSoa;
-    alignas(32) unsigned char buf[S::kNodeBytes];
+    unsigned char buf[S::kNodeBytes];
     gmem_->readBytes(ref, buf, S::kNodeBytes);
 
     uint32_t flags;

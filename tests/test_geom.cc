@@ -232,11 +232,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RayTriProperty,
 
 // --- Batched SoA kernels ---------------------------------------------------
 //
-// Whatever backend geom/simd.hh selected (AVX2, SSE2, NEON, or the
-// scalar fallback), every lane of the batch kernels must agree with the
-// scalar reference functions bit-for-bit: same hit/miss decision and
-// float-equal (==) distances — the sign of a zero is the only tolerated
-// representation difference, and operator== already treats -0 == +0.
+// Every lane of the batch kernels must agree with the scalar reference
+// functions bit-for-bit: same hit/miss decision and float-equal (==)
+// distances — the sign of a zero is the only tolerated representation
+// difference, and operator== already treats -0 == +0.
 // The sweep leans on degenerate geometry: flat boxes (zero extent on an
 // axis), inverted boxes (lo > hi, the invalid-Aabb sentinel shape),
 // tiny boxes, and axis-parallel rays whose 1/0 slab math produces
@@ -329,9 +328,10 @@ TEST_P(SimdBatchProperty, RayBoxBatchMatchesScalarLaneForLane)
             auto hit = rayBox(ray, boxes[i]);
             ASSERT_EQ((mask >> i) & 1u, hit.has_value() ? 1u : 0u)
                 << "iter " << iter << " lane " << i;
-            if (hit)
+            if (hit) {
                 ASSERT_EQ(tenter[i], hit->tenter)
                     << "iter " << iter << " lane " << i;
+            }
         }
     }
 }
@@ -395,40 +395,6 @@ TEST_P(SimdBatchProperty, RectOverlapBatchMatchesScalarOverlaps)
         for (int i = 0; i < count; ++i) {
             ASSERT_EQ((mask >> i) & 1u,
                       query.overlaps(rects[i]) ? 1u : 0u)
-                << "iter " << iter << " lane " << i;
-        }
-    }
-}
-
-TEST_P(SimdBatchProperty, PointRadiusBatchMatchesScalarDistance)
-{
-    Rng rng(GetParam() * 40503ull + 19);
-    for (int iter = 0; iter < 300; ++iter) {
-        alignas(32) float px[8], py[8], pz[8];
-        Vec3 pts[8];
-        for (int i = 0; i < 8; ++i) {
-            pts[i] = {rng.uniform(-10, 10), rng.uniform(-10, 10),
-                      rng.uniform(-10, 10)};
-            px[i] = pts[i].x;
-            py[i] = pts[i].y;
-            pz[i] = pts[i].z;
-        }
-        Vec3 q{rng.uniform(-10, 10), rng.uniform(-10, 10),
-               rng.uniform(-10, 10)};
-        if (rng.nextBounded(6) == 0)
-            q = pts[rng.nextBounded(8)]; // exact-zero distance lane
-        float threshold = rng.uniform(0.0f, 12.0f);
-
-        int count = 1 + static_cast<int>(rng.nextBounded(8));
-        float d2[8];
-        uint32_t mask = pointRadiusBatch(q, px, py, pz, count, threshold,
-                                         d2);
-        ASSERT_EQ(mask >> count, 0u);
-        for (int i = 0; i < count; ++i) {
-            ASSERT_EQ((mask >> i) & 1u,
-                      pointWithinRadius(q, pts[i], threshold) ? 1u : 0u)
-                << "iter " << iter << " lane " << i;
-            ASSERT_EQ(d2[i], distanceSquared(q, pts[i]))
                 << "iter " << iter << " lane " << i;
         }
     }

@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <optional>
 #include <vector>
@@ -118,25 +117,9 @@ uint32_t
 bruteForceOverlaps(const std::vector<trees::Rect2D> &objects,
                    const trees::Rect2D &query)
 {
-    // Batched over 8-lane SoA blocks; each lane runs the same compare
-    // chain as Rect2D::overlaps (test_geom proves the batch kernel
-    // bit-equal to the scalar predicate), so the oracle's answer is
-    // unchanged while large object sets scan at SIMD speed.
     uint32_t count = 0;
-    size_t i = 0;
-    for (; i + 8 <= objects.size(); i += 8) {
-        geom::WideRects block;
-        for (int l = 0; l < 8; ++l) {
-            block.x0[l] = objects[i + l].x0;
-            block.y0[l] = objects[i + l].y0;
-            block.x1[l] = objects[i + l].x1;
-            block.y1[l] = objects[i + l].y1;
-        }
-        count += std::popcount(geom::rectOverlapBatch(
-            query.x0, query.y0, query.x1, query.y1, block, 8));
-    }
-    for (; i < objects.size(); ++i)
-        count += query.overlaps(objects[i]) ? 1u : 0u;
+    for (const trees::Rect2D &object : objects)
+        count += query.overlaps(object) ? 1u : 0u;
     return count;
 }
 

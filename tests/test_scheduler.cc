@@ -10,8 +10,9 @@
  * of chattering nodes under both kernels, requiring identical event logs
  * and cycle counts across many seeds. Workload-level tests run real
  * simulations under both kernels and diff the entire stat dump, one of
- * them with the L1 input queues saturated. A death test pins that an
- * unknown TTA_SIM_KERNEL name is a named fatal().
+ * them with the L1 input queues saturated and one idle-heavy run that
+ * must also skip most of its cycles. A death test pins that an unknown
+ * TTA_SIM_KERNEL name is a named fatal().
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +34,7 @@
 #include "sim/ticked.hh"
 #include "workloads/btree_workload.hh"
 #include "workloads/raytracing_workload.hh"
+#include "workloads/rtnn_workload.hh"
 
 using namespace ::tta::sim;
 namespace workloads = ::tta::workloads;
@@ -378,6 +380,31 @@ TEST(SchedulerOracle, WorkloadStatsBitIdenticalToPolling)
         EXPECT_EQ(polling.stats, event.stats)
             << (accelerated ? "tta" : "baseline") << " stat dump diverged";
     }
+}
+
+// Few RTNN queries over a large cloud on TTA leave the cores asleep
+// waiting on memory for most of the run. The event kernel must skip
+// those cycles, not tick them, and still agree with polling bit for
+// bit. It skips about 91% here, far above the 50% floor, so model
+// changes do not make the check flaky.
+TEST(SchedulerOracle, IdleHeavyRtnnSkipsMostCycles)
+{
+    auto run = [](Simulator::Kernel kernel) {
+        DefaultKernelGuard guard(kernel);
+        SchedulerTelemetry::reset();
+        StatRegistry stats;
+        workloads::RtnnWorkload wl(32768, 16, 1.0f, 7);
+        Config cfg;
+        cfg.accelMode = AccelMode::Tta;
+        workloads::RunMetrics m = wl.runAccelerated(cfg, stats, false);
+        return WorkloadRun{m.cycles, stats.dumpString()};
+    };
+    WorkloadRun polling = run(Simulator::Kernel::Polling);
+    EXPECT_EQ(SchedulerTelemetry::cyclesSkipped(), 0u);
+    WorkloadRun event = run(Simulator::Kernel::EventDriven);
+    EXPECT_EQ(polling.cycles, event.cycles);
+    EXPECT_EQ(polling.stats, event.stats);
+    EXPECT_GE(SchedulerTelemetry::skippedFraction(), 0.5);
 }
 
 // The Sponza ambient-occlusion scene on baseline cores fills the L1
