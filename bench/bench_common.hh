@@ -255,7 +255,9 @@ class FlagSet
                              opt->name.c_str());
                 std::exit(kExitUsage);
             } else if (opt->arity == Arity::Optional && !have_value) {
-                value = "1";
+                // assign(), not = "1": gcc 12 raises a false -Wrestrict
+                // on the literal assignment.
+                value.assign(1, '1');
             }
             opt->fn(value);
         }
@@ -391,7 +393,8 @@ geomean(const std::vector<double> &xs)
  * per (kind, keys) three times and one RTNN index six times).
  *
  * get() builds the workload once per key and hands every run a fresh
- * deep copy of the cached prototype. Each run still constructs its own
+ * copy of the cached prototype (immutable parts such as a B-Tree's
+ * image are shared, the rest cloned). Each run still constructs its own
  * device and stat registry — only the host-side build (tree
  * construction, reference query evaluation) is shared — so results are
  * bit-identical to rebuilding from scratch; the WorkloadCacheIdentity
@@ -420,7 +423,7 @@ class WorkloadCache
         std::call_once(entry->once,
                        [&] { entry->proto =
                                  std::make_shared<const W>(build()); });
-        return W(*entry->proto); // fresh deep copy per run
+        return W(*entry->proto); // fresh copy per run
     }
 
     /**

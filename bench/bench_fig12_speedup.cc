@@ -23,7 +23,7 @@ main(int argc, char **argv)
 
     Sweep sweep(args);
     // The baseline/TTA/TTA+ runs of one row share the identical host
-    // tree: build it once, hand each run a deep copy
+    // tree: build it once, hand each run a copy
     // (--rebuild-device restores the old build-per-run behavior).
     static WorkloadCache cache(args.rebuildDevice == 0);
 

@@ -201,9 +201,9 @@ SimtCore::drainResponses()
     // The queue is core-only (CoreLoad): accelerator responses are
     // delivered on the memory system's rtaResponses() queue instead.
     auto &queue = memsys_->responses(smId_);
-    for (auto it = queue.begin(); it != queue.end();) {
-        uint32_t slot = static_cast<uint32_t>(it->tag >> 32);
-        uint32_t token = static_cast<uint32_t>(it->tag);
+    for (const mem::MemResponse &resp : queue) {
+        uint32_t slot = static_cast<uint32_t>(resp.tag >> 32);
+        uint32_t token = static_cast<uint32_t>(resp.tag);
         WarpContext &warp = warps_[slot];
         for (auto load = warp.pendingLoads.begin();
              load != warp.pendingLoads.end(); ++load) {
@@ -222,8 +222,8 @@ SimtCore::drainResponses()
             }
             break;
         }
-        it = queue.erase(it);
     }
+    queue.clear();
 }
 
 void

@@ -9,7 +9,11 @@
  *
  * The store is lazily zeroed: it is an anonymous mapping, so the OS maps
  * zero pages on first touch and a device costs memory only for what it
- * writes.
+ * writes. A fresh device can instead start with a read-only DeviceImage
+ * mapped at its lowest addresses (map()): its pages are shared with
+ * every other device that maps the same image, and a device write into
+ * the image's bytes is fatal. Reads see one flat space either way.
+ * Linux-only (anonymous and memory-file mappings).
  */
 
 #ifndef TTA_MEM_GLOBAL_MEMORY_HH
@@ -23,12 +27,21 @@
 
 namespace tta::mem {
 
+class DeviceImage;
+
 class GlobalMemory
 {
   public:
+    /** Address 0 is reserved so that "0" can mean "null pointer" in
+     *  serialized tree nodes; a fresh device allocates from here. */
+    static constexpr Addr kFirstAddr = 64;
+    static_assert(kFirstAddr % 64 == 0, "first allocation is line-aligned");
+
     /** @param capacity total bytes of simulated DRAM. 256MB covers the
-     *  largest evaluated workloads (a 4M-key B-Tree is ~130MB); enlarge
-     *  per-instance when needed. Untouched bytes cost no host memory. */
+     *  largest evaluated workloads (the 4M-key B-Tree's image is
+     *  ~130MB of it); enlarge per-instance when needed. Untouched bytes
+     *  and mapped image pages that a device only reads cost it no host
+     *  memory of its own. */
     explicit GlobalMemory(size_t capacity = 256ull << 20);
     ~GlobalMemory();
 
@@ -63,6 +76,16 @@ class GlobalMemory
     /** Bytes allocated so far (high-water mark). */
     Addr allocTop() const { return allocTop_; }
 
+    /**
+     * Allocate @p image's payload at its own addresses and back device
+     * bytes [0, image.end()) with the image's pages instead of copying
+     * them. Only a fresh device (allocTop() == kFirstAddr) can map an
+     * image. Later allocations continue after it; one that shares the
+     * image's last page is written into a private copy of that page.
+     * @return image.kBase, the payload's address.
+     */
+    Addr map(const DeviceImage &image);
+
     template <typename T>
     T
     read(Addr addr) const
@@ -79,7 +102,7 @@ class GlobalMemory
     write(Addr addr, const T &value)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        boundsCheck(addr, sizeof(T));
+        writeCheck(addr, sizeof(T));
         std::memcpy(data_ + addr, &value, sizeof(T));
     }
 
@@ -93,7 +116,7 @@ class GlobalMemory
     void
     writeBytes(Addr addr, const void *src, size_t n)
     {
-        boundsCheck(addr, n);
+        writeCheck(addr, n);
         std::memcpy(data_ + addr, src, n);
     }
 
@@ -110,11 +133,22 @@ class GlobalMemory
                  static_cast<unsigned long long>(addr), n, capacity_);
     }
 
+    void
+    writeCheck(Addr addr, size_t n) const
+    {
+        boundsCheck(addr, n);
+        fatal_if(addr < imageEnd_ && addr + n > kFirstAddr,
+                 "device write into a mapped read-only image: addr=0x%llx "
+                 "size=%zu, image [0x%llx, 0x%llx)",
+                 static_cast<unsigned long long>(addr), n,
+                 static_cast<unsigned long long>(kFirstAddr),
+                 static_cast<unsigned long long>(imageEnd_));
+    }
+
     uint8_t *data_;
     size_t capacity_;
-    // Address 0 is reserved so that "0" can mean "null pointer" in
-    // serialized tree nodes.
-    Addr allocTop_ = 64;
+    Addr allocTop_ = kFirstAddr;
+    Addr imageEnd_ = 0; //!< mapped image bytes are [kFirstAddr, imageEnd_)
 };
 
 } // namespace tta::mem

@@ -397,8 +397,8 @@ RtaUnit::drainResponses(sim::Cycle cycle)
     // The queue is RTA-only (RtaNode): core load responses are
     // delivered on the memory system's core responses() queue instead.
     auto &queue = memsys_->rtaResponses(smId_);
-    for (auto it = queue.begin(); it != queue.end();) {
-        auto waiters = inflightLines_.find(it->tag);
+    for (const mem::MemResponse &resp : queue) {
+        auto waiters = inflightLines_.find(resp.tag);
         if (waiters != inflightLines_.end()) {
             for (auto [w, r] : waiters->second) {
                 RaySlot &ray = warps_[w].rays[r];
@@ -416,8 +416,8 @@ RtaUnit::drainResponses(sim::Cycle cycle)
             }
             inflightLines_.erase(waiters);
         }
-        it = queue.erase(it);
     }
+    queue.clear();
 }
 
 void

@@ -15,11 +15,14 @@
  *
  * The host form of a tree is its device image. One BFS pass over the
  * sorted keys emits the 64-byte BTreeNodeLayout records, root first, so
- * every node's children are already contiguous; on the host a node's
- * child base is a byte offset into the image. serialize() copies the
- * records into simulated memory and relocates those offsets to
- * addresses, and host search() walks the same records the device reads.
- * No other copy of the keys is kept.
+ * every node's children are already contiguous. The records live in a
+ * read-only mem::DeviceImage, laid out for the address a fresh device
+ * gives its first allocation (GlobalMemory::kFirstAddr), so a node's
+ * child base is already a device address. serialize() maps that image
+ * into a fresh device without a copy; into a device that has allocated
+ * before, it writes a private copy with the child bases relocated. Host
+ * search() walks the same records the device reads, and copies of a
+ * BTree share one image. No other copy of the keys is kept.
  *
  * Variants:
  *  - B-Tree:  keys (and associated entries) at every level; a query can
@@ -36,8 +39,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "mem/device_image.hh"
 #include "mem/global_memory.hh"
 
 namespace tta::trees {
@@ -72,8 +77,7 @@ struct BTreeNodeLayout
                                                 //!< (B+Tree)
 
     uint32_t flags;
-    uint32_t childBase; //!< child 0: an image offset on the host, an
-                        //!< address once serialized; 0 in a leaf
+    uint32_t childBase; //!< byte address of child 0; 0 in a leaf
     float keys[kWidth]; //!< real keys ascending, then +inf sentinels
     uint8_t reserved[20];
 };
@@ -98,7 +102,9 @@ struct BTreeQueryResult
  * simulated memory.
  *
  * The fill factor (keys per node) depends on the variant. Keys are
- * exact-representable floats so equality tests are meaningful.
+ * exact-representable floats so equality tests are meaningful. The tree
+ * is immutable once built: copies are cheap and share the image, and
+ * any number of threads may search or serialize it at once.
  */
 class BTree
 {
@@ -112,15 +118,20 @@ class BTree
 
     BTreeKind kind() const { return kind_; }
     size_t numKeys() const { return numKeys_; }
-    size_t numNodes() const { return nodes_.size(); }
+    size_t numNodes() const
+    {
+        return image_->bytes() / BTreeNodeLayout::kNodeBytes;
+    }
     uint32_t height() const { return height_; }
 
     /** Reference search on the host image. */
     BTreeQueryResult search(float query) const;
 
     /**
-     * Copy the image into simulated memory; children of each node
-     * contiguous.
+     * Place the image in simulated memory, children of each node
+     * contiguous: mapped without a copy into a fresh device, otherwise
+     * copied with the child bases relocated. The bytes at the returned
+     * address are the same either way.
      * @return byte address of the root node.
      */
     uint64_t serialize(mem::GlobalMemory &gmem) const;
@@ -138,8 +149,8 @@ class BTree
 
     BTreeKind kind_;
     size_t numKeys_ = 0;
-    std::vector<BTreeNodeLayout> nodes_; //!< the image, BFS order
     uint32_t height_ = 0;
+    std::shared_ptr<const mem::DeviceImage> image_;
 };
 
 } // namespace tta::trees

@@ -459,12 +459,21 @@ WideBvh::traverse(geom::Ray &ray,
             }
         }
         // Far child pushed first (near popped first); ties broken by
-        // child index for a fully specified order.
-        std::sort(order, order + n, [](const Entry &a, const Entry &b) {
+        // child index for a fully specified order. An insertion sort of
+        // at most 8 entries (std::sort here draws a false gcc 12
+        // -Warray-bounds).
+        auto before = [](const Entry &a, const Entry &b) {
             if (a.t != b.t)
                 return a.t > b.t;
             return a.child > b.child;
-        });
+        };
+        for (int i = 1; i < n; ++i) {
+            const Entry e = order[i];
+            int j = i;
+            for (; j > 0 && before(e, order[j - 1]); --j)
+                order[j] = order[j - 1];
+            order[j] = e;
+        }
         for (int i = 0; i < n; ++i)
             stack.push_back(order[i].child);
     }

@@ -80,43 +80,44 @@ BTreeSpec::finishRay(rta::RayState &ray)
                            ray.found ? 1u : 0u);
 }
 
+namespace {
+
+/** Keys 2, 4, ..., 2n: even integers as floats (exactly representable
+ *  up to 2^24), so "miss" queries can be odd integers that are
+ *  guaranteed absent. */
+std::vector<float>
+evenKeys(size_t n)
+{
+    std::vector<float> keys(n);
+    for (size_t i = 0; i < n; ++i)
+        keys[i] = 2.0f * static_cast<float>(i + 1);
+    return keys;
+}
+
+} // namespace
+
 BTreeWorkload::BTreeWorkload(trees::BTreeKind kind, size_t n_keys,
                              size_t n_queries, uint64_t seed,
                              double hit_rate)
+    : tree_(kind, evenKeys(n_keys))
 {
     sim::Rng rng(seed);
-    // Keys are even integers as floats (exactly representable up to 2^24),
-    // so "miss" queries can be odd integers that are guaranteed absent.
-    std::vector<float> keys(n_keys);
-    for (size_t i = 0; i < n_keys; ++i)
-        keys[i] = 2.0f * static_cast<float>(i + 1);
-    tree_ = std::make_unique<trees::BTree>(kind, keys);
-
     queries_.resize(n_queries);
     expected_.resize(n_queries);
     for (size_t q = 0; q < n_queries; ++q) {
         bool hit = rng.nextDouble() < hit_rate;
-        if (hit) {
-            queries_[q] = keys[rng.nextBounded(n_keys)];
-        } else {
-            queries_[q] =
-                2.0f * static_cast<float>(rng.nextBounded(n_keys)) + 1.0f;
-        }
-        expected_[q] = tree_->search(queries_[q]).found ? 1 : 0;
+        const uint64_t i = rng.nextBounded(n_keys);
+        // A hit is evenKeys()[i]; a miss is the odd number below it.
+        queries_[q] = hit ? 2.0f * static_cast<float>(i + 1)
+                          : 2.0f * static_cast<float>(i) + 1.0f;
+        expected_[q] = tree_.search(queries_[q]).found ? 1 : 0;
     }
 }
-
-BTreeWorkload::BTreeWorkload(const BTreeWorkload &other)
-    : tree_(std::make_unique<trees::BTree>(*other.tree_)),
-      queries_(other.queries_), expected_(other.expected_),
-      deviceResults_(other.deviceResults_), rootAddr_(other.rootAddr_),
-      queryBase_(other.queryBase_), resultBase_(other.resultBase_)
-{}
 
 void
 BTreeWorkload::setup(mem::GlobalMemory &gmem)
 {
-    rootAddr_ = tree_->serialize(gmem);
+    rootAddr_ = tree_.serialize(gmem);
     queryBase_ = gmem.alloc(queries_.size() * 4, 128);
     resultBase_ = gmem.alloc(queries_.size() * 4, 128);
     for (size_t q = 0; q < queries_.size(); ++q) {

@@ -71,12 +71,13 @@ class BTreeWorkload
                   uint64_t seed = 1, double hit_rate = 0.5);
 
     /**
-     * Deep copy: clones the built tree and query/reference vectors so
-     * the copy can setup()/run against its own device while the source
-     * (e.g. a bench::WorkloadCache prototype) stays untouched — a run
-     * on a copy is bit-identical to a run on a freshly built workload.
+     * Copy: shares the immutable tree and copies the query/reference
+     * vectors, so the copy can setup()/run against its own device while
+     * the source (e.g. a bench::WorkloadCache prototype) stays untouched
+     * — a run on a copy is bit-identical to a run on a freshly built
+     * workload.
      */
-    BTreeWorkload(const BTreeWorkload &other);
+    BTreeWorkload(const BTreeWorkload &other) = default;
     BTreeWorkload &operator=(const BTreeWorkload &) = delete;
 
     /** Serialize tree + buffers into a device's memory. */
@@ -94,7 +95,7 @@ class BTreeWorkload
      *  @return number of mismatches (0 = pass). */
     size_t verify(const mem::GlobalMemory &gmem) const;
 
-    const trees::BTree &tree() const { return *tree_; }
+    const trees::BTree &tree() const { return tree_; }
     size_t numQueries() const { return queries_.size(); }
     const std::vector<float> &queries() const { return queries_; }
 
@@ -117,7 +118,7 @@ class BTreeWorkload
   private:
     void captureResults(const mem::GlobalMemory &gmem);
 
-    std::unique_ptr<trees::BTree> tree_;
+    trees::BTree tree_;
     std::vector<float> queries_;
     std::vector<uint8_t> expected_;
     std::vector<uint32_t> deviceResults_;

@@ -8,12 +8,15 @@
 
 #include <unistd.h>
 
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mem/cache.hh"
 #include "mem/coalescer.hh"
+#include "mem/device_image.hh"
 #include "mem/global_memory.hh"
 #include "mem/memsys.hh"
 #include "sim/config.hh"
@@ -112,6 +115,123 @@ TEST(GlobalMemoryDeathTest, AccessNearAddressMaxPanics)
     volatile Addr near_max = UINT64_MAX - 3;
     EXPECT_DEATH(gmem.read<uint64_t>(near_max), "out of bounds");
     EXPECT_DEATH(gmem.write<uint32_t>(near_max + 3, 1u), "out of bounds");
+}
+
+// --- Mapped device images ------------------------------------------------
+
+namespace {
+
+/** A 1000-byte image whose byte i is (i * 7 + 1) mod 256, so no payload
+ *  byte is zero. */
+DeviceImage
+patternImage()
+{
+    return DeviceImage(1000, [](uint8_t *p) {
+        for (size_t i = 0; i < 1000; ++i)
+            p[i] = static_cast<uint8_t>(i * 7 + 1);
+    });
+}
+
+/** The fatal() text of @p fn, or "" if it returns normally. */
+template <typename Fn>
+std::string
+fatalText(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const sim::FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(GlobalMemoryImage, MapsAtTheFirstAddressWithoutACopy)
+{
+    const DeviceImage image = patternImage();
+    GlobalMemory gmem(1u << 20);
+    Addr base = gmem.map(image);
+    EXPECT_EQ(base, GlobalMemory::kFirstAddr);
+    EXPECT_EQ(base, DeviceImage::kBase);
+    EXPECT_EQ(gmem.allocTop(), image.end());
+    for (Addr a = 0; a < base; ++a)
+        ASSERT_EQ(gmem.read<uint8_t>(a), 0u) << "null reservation " << a;
+    std::vector<uint8_t> bytes(image.bytes());
+    gmem.readBytes(base, bytes.data(), bytes.size());
+    EXPECT_EQ(0, std::memcmp(bytes.data(), image.payload(), bytes.size()));
+    // Past the payload, the image's last page and the rest read zero.
+    EXPECT_EQ(gmem.read<uint8_t>(image.end()), 0u);
+    EXPECT_EQ(gmem.read<uint8_t>(image.fileBytes()), 0u);
+    // Allocation continues after the image, as after a copy.
+    EXPECT_EQ(gmem.alloc(16), (image.end() + 63) & ~Addr{63});
+}
+
+TEST(GlobalMemoryImage, DeviceWriteIntoImageIsFatal)
+{
+    const DeviceImage image = patternImage();
+    GlobalMemory gmem(1u << 20);
+    Addr base = gmem.map(image);
+    const std::string named = "device write into a mapped read-only image";
+    uint8_t buf[16] = {};
+    EXPECT_NE(fatalText([&] { gmem.write<uint32_t>(base, 1u); }).find(named),
+              std::string::npos);
+    EXPECT_NE(fatalText([&] { gmem.write<uint8_t>(image.end() - 1, 1); })
+                  .find(named),
+              std::string::npos);
+    EXPECT_NE(fatalText([&] { gmem.writeBytes(base + 500, buf, 16); })
+                  .find(named),
+              std::string::npos);
+    // A write straddling either edge of the image touches image bytes.
+    EXPECT_NE(fatalText([&] { gmem.writeBytes(base - 8, buf, 16); })
+                  .find(named),
+              std::string::npos);
+    EXPECT_NE(fatalText([&] { gmem.writeBytes(image.end() - 8, buf, 16); })
+                  .find(named),
+              std::string::npos);
+    // The image is untouched, and writes beside it are allowed.
+    EXPECT_EQ(gmem.read<uint8_t>(base), 1u);
+    EXPECT_EQ(fatalText([&] { gmem.writeBytes(base - 16, buf, 16); }), "");
+    EXPECT_EQ(fatalText([&] { gmem.writeBytes(image.end(), buf, 16); }), "");
+}
+
+TEST(GlobalMemoryImage, LastPageWritesStayInTheirDevice)
+{
+    const DeviceImage image = patternImage();
+    ASSERT_LT(image.end() + 64, image.fileBytes())
+        << "the test needs room after the image in its last page";
+    GlobalMemory a(1u << 20), b(1u << 20);
+    a.map(image);
+    b.map(image);
+    Addr x = a.alloc(16);
+    ASSERT_EQ(b.alloc(16), x);
+    ASSERT_LT(x, image.fileBytes()) << "x is not on the image's last page";
+    a.write<uint32_t>(x, 0xabcd1234u);
+    EXPECT_EQ(a.read<uint32_t>(x), 0xabcd1234u);
+    EXPECT_EQ(b.read<uint32_t>(x), 0u);
+    GlobalMemory c(1u << 20);
+    c.map(image);
+    EXPECT_EQ(c.read<uint32_t>(x), 0u);
+    // The image bytes that share that page are unchanged everywhere.
+    EXPECT_EQ(a.read<uint8_t>(image.end() - 1), image.payload()[999]);
+    EXPECT_EQ(c.read<uint8_t>(image.end() - 1), image.payload()[999]);
+}
+
+TEST(GlobalMemoryImage, TooLargeImageIsTheExhaustionError)
+{
+    const DeviceImage image(8192, [](uint8_t *) {});
+    GlobalMemory gmem(4096);
+    EXPECT_NE(fatalText([&] { gmem.map(image); })
+                  .find("simulated memory exhausted"),
+              std::string::npos);
+}
+
+TEST(GlobalMemoryImageDeathTest, MapNeedsAFreshDevice)
+{
+    const DeviceImage image = patternImage();
+    GlobalMemory gmem(1u << 20);
+    gmem.alloc(4);
+    EXPECT_DEATH(gmem.map(image), "fresh device");
 }
 
 // --- Coalescer ------------------------------------------------------------

@@ -7,12 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstring>
+#include <fstream>
 #include <set>
 
 #include "geom/intersect.hh"
+#include "mem/device_image.hh"
 #include "mem/global_memory.hh"
 #include "sim/rng.hh"
+#include "sim/runner.hh"
 #include "trees/btree.hh"
 #include "trees/bvh.hh"
 #include "trees/octree.hh"
@@ -195,6 +201,206 @@ TEST(BTreeImage, BytesAndShapeMatchPinnedValues)
             ASSERT_EQ(dev.found, is_key) << "query " << q;
             ASSERT_EQ(host.depth, dev.depth) << "query " << q;
         }
+    }
+}
+
+// --- B-Tree image shared by devices -------------------------------------
+
+namespace {
+
+constexpr uint64_t kImageBase = mem::DeviceImage::kBase;
+
+/** Resident set of this process in bytes (0 if it cannot be read). */
+size_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    size_t total = 0, resident = 0;
+    statm >> total >> resident;
+    return resident * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+/** Every key 2, 4, ..., 2n and every gap around them: the serialized
+ *  tree at @p root finds what the host finds, at the same node. */
+void
+expectSearchesAgree(const BTree &tree, const mem::GlobalMemory &gmem,
+                    uint64_t root, size_t n_keys)
+{
+    for (size_t q = 0; q <= 2 * n_keys + 1; ++q) {
+        float query = static_cast<float>(q);
+        auto host = tree.search(query);
+        auto dev = BTree::searchSerialized(gmem, root, query);
+        ASSERT_EQ(dev.found, host.found) << "query " << q;
+        ASSERT_EQ(dev.depth, host.depth) << "query " << q;
+        ASSERT_EQ(dev.terminalNode, root + host.terminalNode)
+            << "query " << q;
+    }
+}
+
+/** The records serialized at @p root, child bases moved back to where
+ *  they would be at kImageBase. */
+std::vector<BTreeNodeLayout>
+recordsAtImageBase(const mem::GlobalMemory &gmem, uint64_t root,
+                   size_t n_nodes)
+{
+    std::vector<BTreeNodeLayout> nodes(n_nodes);
+    gmem.readBytes(root, nodes.data(), n_nodes * sizeof(BTreeNodeLayout));
+    for (BTreeNodeLayout &node : nodes) {
+        if (!(node.flags & BTreeNodeLayout::kLeafFlag))
+            node.childBase -= static_cast<uint32_t>(root - kImageBase);
+    }
+    return nodes;
+}
+
+} // namespace
+
+TEST(BTreeSharedImage, FreshDevicesMapWhatAPrivateCopyHolds)
+{
+    for (BTreeKind kind :
+         {BTreeKind::BTree, BTreeKind::BStarTree, BTreeKind::BPlusTree}) {
+        SCOPED_TRACE(bTreeKindName(kind));
+        const size_t n_keys = 3000;
+        BTree tree(kind, makeKeys(n_keys));
+        const size_t bytes = tree.numNodes() * BTreeNodeLayout::kNodeBytes;
+        mem::GlobalMemory a(4u << 20), b(4u << 20), copy(4u << 20);
+        const uint64_t root_a = tree.serialize(a);
+        const uint64_t root_b = tree.serialize(b);
+        copy.alloc(100);
+        const uint64_t root_copy = tree.serialize(copy);
+        EXPECT_EQ(root_a, kImageBase);
+        EXPECT_EQ(root_b, kImageBase);
+        EXPECT_EQ(a.allocTop(), kImageBase + bytes);
+        EXPECT_NE(root_copy, kImageBase);
+        expectSearchesAgree(tree, a, root_a, n_keys);
+        expectSearchesAgree(tree, b, root_b, n_keys);
+        expectSearchesAgree(tree, copy, root_copy, n_keys);
+
+        auto mapped = recordsAtImageBase(a, root_a, tree.numNodes());
+        auto copied = recordsAtImageBase(copy, root_copy, tree.numNodes());
+        EXPECT_EQ(0, std::memcmp(mapped.data(), copied.data(), bytes));
+        // The private copy is the device's own: writing it is allowed.
+        copy.write<uint32_t>(root_copy + BTreeNodeLayout::kOffKeys, 0u);
+    }
+}
+
+TEST(BTreeSharedImage, MappedBytesMatchPinnedValues)
+{
+    // Pinned from the copy a fresh device received before images were
+    // mapped: same address (kImageBase), same bytes.
+    struct Pin
+    {
+        BTreeKind kind;
+        size_t keys;
+        uint64_t hash;
+    };
+    const Pin pins[] = {
+        {BTreeKind::BTree, 0, 0xad8b33fc92a1b99bull},
+        {BTreeKind::BTree, 9, 0xdddfd51d5bb60ed0ull},
+        {BTreeKind::BTree, 5000, 0xb1473c21a92c451full},
+        {BTreeKind::BTree, 100000, 0xb4a9823ed61d27aaull},
+        {BTreeKind::BStarTree, 9, 0xdb539f0929267b86ull},
+        {BTreeKind::BStarTree, 5000, 0xf6cb6b958f61ac53ull},
+        {BTreeKind::BStarTree, 100000, 0xfc6b70d25b43aac7ull},
+        {BTreeKind::BPlusTree, 0, 0x8dc0211664b4da9dull},
+        {BTreeKind::BPlusTree, 8, 0xeb9c4cdb7cbf2792ull},
+        {BTreeKind::BPlusTree, 5000, 0x6976fb6a8b26de9bull},
+        {BTreeKind::BPlusTree, 100000, 0x9e3eca52d2af5935ull},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(std::string(bTreeKindName(pin.kind)) + " with " +
+                     std::to_string(pin.keys) + " keys");
+        // The keys of BTreeImage.BytesAndShapeMatchPinnedValues.
+        std::vector<float> keys;
+        for (size_t i = pin.keys; i >= 1; --i)
+            keys.push_back(2.0f * static_cast<float>(i));
+        if (pin.keys > 0)
+            keys.push_back(keys[keys.size() / 2]);
+        BTree tree(pin.kind, keys);
+        mem::GlobalMemory gmem(16u << 20);
+        uint64_t root = tree.serialize(gmem);
+        EXPECT_EQ(root, kImageBase);
+        EXPECT_EQ(hashImage(gmem, root,
+                            tree.numNodes() * BTreeNodeLayout::kNodeBytes),
+                  pin.hash);
+    }
+}
+
+TEST(BTreeSharedImage, SerializeIntoFreshDeviceCopiesNoPages)
+{
+    const BTree tree(BTreeKind::BTree, makeKeys(1u << 20));
+    const size_t bytes = tree.numNodes() * BTreeNodeLayout::kNodeBytes;
+    ASSERT_GT(bytes, 16ull << 20);
+    mem::GlobalMemory gmem;
+    const size_t before = residentBytes();
+    ASSERT_GT(before, 0u) << "cannot read /proc/self/statm";
+    const uint64_t root = tree.serialize(gmem);
+    const size_t after = residentBytes();
+    EXPECT_LT(after, before + bytes / 8)
+        << "serializing a " << bytes << "-byte image grew the resident "
+        << "set from " << before << " to " << after << " bytes";
+    for (float key : {2.0f, 3.0f, 1048576.0f, 2097152.0f, 2097153.0f})
+        EXPECT_EQ(BTree::searchSerialized(gmem, root, key).found,
+                  tree.search(key).found);
+}
+
+TEST(BTreeSharedImage, CopiesShareOneImage)
+{
+    BTree tree(BTreeKind::BPlusTree, makeKeys(1u << 20));
+    const size_t bytes = tree.numNodes() * BTreeNodeLayout::kNodeBytes;
+    const size_t before = residentBytes();
+    ASSERT_GT(before, 0u) << "cannot read /proc/self/statm";
+    std::vector<BTree> copies(4, tree);
+    const size_t after = residentBytes();
+    EXPECT_LT(after, before + bytes / 8)
+        << "four copies of a " << bytes << "-byte tree grew the resident "
+        << "set from " << before << " to " << after << " bytes";
+    // A moved-to tree (perfbench move-assigns) keeps the same image.
+    tree = std::move(copies.back());
+    mem::GlobalMemory a(64u << 20), b(64u << 20);
+    const uint64_t root_a = tree.serialize(a);
+    const uint64_t root_b = copies.front().serialize(b);
+    for (float key : {2.0f, 3.0f, 1048576.0f, 2097152.0f, 2097153.0f}) {
+        EXPECT_EQ(BTree::searchSerialized(a, root_a, key).found,
+                  copies.front().search(key).found);
+        EXPECT_EQ(BTree::searchSerialized(b, root_b, key).found,
+                  tree.search(key).found);
+    }
+}
+
+TEST(BTreeSharedImage, ConcurrentSerializesFromRunnerWorkers)
+{
+    // One tree serialized by four workers at once, mapped into fresh
+    // devices and copied into used ones; TSan checks the sharing.
+    const size_t n_keys = 20000;
+    const BTree tree(BTreeKind::BPlusTree, makeKeys(n_keys));
+    std::vector<sim::Job> jobs(8);
+    for (size_t j = 0; j < jobs.size(); ++j) {
+        jobs[j].name = "serialize" + std::to_string(j);
+        jobs[j].fn = [&tree, j, n_keys](const sim::Config &,
+                                        sim::StatRegistry &,
+                                        sim::RunRecord &rec) {
+            mem::GlobalMemory gmem(4u << 20);
+            if (j % 2)
+                gmem.alloc(100); // the private-copy path
+            const uint64_t root = tree.serialize(gmem);
+            double mismatches = 0;
+            for (size_t q = 0; q <= 2 * n_keys + 1; ++q) {
+                float query = static_cast<float>(q);
+                mismatches +=
+                    BTree::searchSerialized(gmem, root, query).found !=
+                    tree.search(query).found;
+            }
+            rec.values["mapped"] = root == kImageBase;
+            rec.values["mismatches"] = mismatches;
+        };
+    }
+    const auto records = sim::ExperimentRunner(4).run(jobs);
+    ASSERT_EQ(records.size(), jobs.size());
+    for (size_t j = 0; j < records.size(); ++j) {
+        SCOPED_TRACE(records[j].name);
+        ASSERT_FALSE(records[j].failed()) << records[j].error;
+        EXPECT_EQ(records[j].values.at("mapped"), j % 2 ? 0.0 : 1.0);
+        EXPECT_EQ(records[j].values.at("mismatches"), 0.0);
     }
 }
 
