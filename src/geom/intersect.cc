@@ -157,18 +157,4 @@ pointInBoxBatch(const Vec3 &p, const WideBoxes &boxes, int count)
     return hits & laneMask(count);
 }
 
-uint32_t
-rectOverlapBatch(float qx0, float qy0, float qx1, float qy1,
-                 const WideRects &rects, int count)
-{
-    uint32_t hits = 0;
-    for (int i = 0; i < 8; ++i) {
-        bool overlap = rects.x0[i] <= qx1 && qx0 <= rects.x1[i] &&
-                       rects.y0[i] <= qy1 && qy0 <= rects.y1[i];
-        if (overlap)
-            hits |= 1u << i;
-    }
-    return hits & laneMask(count);
-}
-
 } // namespace tta::geom

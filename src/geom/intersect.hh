@@ -94,8 +94,8 @@ QueryKeyResult queryKeyCompare(float query, const float *keys, int n_keys);
 /**
  * Batched SoA intersection tests.
  *
- * These consume the wide node layouts (WideBoxes / WideRects, up to 8
- * lanes per call). Each lane is evaluated with exactly the scalar tests'
+ * These consume the wide BVH node layout (WideBoxes, up to 8 lanes per
+ * call). Each lane is evaluated with exactly the scalar tests'
  * operation order and select-on-compare min/max semantics, so per-lane
  * results are identical to the scalar functions above (only the sign of
  * a zero may differ, which all comparisons treat as equal); the property
@@ -117,13 +117,6 @@ uint32_t rayBoxBatch(const Ray &ray, const WideBoxes &boxes, int count,
 
 /** Point-in-AABB (Aabb::contains) against up to 8 boxes; hit bitmask. */
 uint32_t pointInBoxBatch(const Vec3 &p, const WideBoxes &boxes, int count);
-
-/**
- * Query rectangle [qx0,qx1]x[qy0,qy1] vs up to 8 SoA rectangles
- * (Rect2D::overlaps, closed-interval compares); returns the hit bitmask.
- */
-uint32_t rectOverlapBatch(float qx0, float qy0, float qx1, float qy1,
-                          const WideRects &rects, int count);
 
 } // namespace tta::geom
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Struct-of-arrays lane types for the batched functional intersection
- * tests (geom/intersect.hh) that consume the wide SoA node layouts.
+ * The struct-of-arrays lane type of the batched functional intersection
+ * tests (geom/intersect.hh) that consume the wide BVH node layout.
  *
  * The batched tests are plain scalar loops over eight lanes: the
  * simulated results come from cycle-level timing models, so how fast
@@ -33,15 +33,6 @@ struct WideBoxes
     float hix[8];
     float hiy[8];
     float hiz[8];
-};
-
-/** Up to eight 2D rectangles in SoA form (the SoA R-Tree node mirror). */
-struct WideRects
-{
-    float x0[8];
-    float y0[8];
-    float x1[8];
-    float y1[8];
 };
 
 } // namespace tta::geom

@@ -89,7 +89,8 @@ struct ServicePolicy
     /** Devices in the group, one admission queue across all. */
     uint32_t numDevices = 1;
     /** Per-device worker threads with double-buffered staging/verify
-     *  (bit-identical to the serial path, just faster wall-clock). */
+     *  (bit-identical to the serial path, and no faster in the wall
+     *  clock measured so far). */
     bool pipelinedStaging = true;
     /** Dispatch policy; LeastLoaded reproduces the pre-scheduler
      *  dispatcher bit-exactly (scheduler.hh). */
@@ -233,7 +234,6 @@ class TraversalService
     const sim::Config cfg_;
     sim::StatRegistry &stats_;
     ServicePolicy policy_;
-    std::unique_ptr<DeviceGroup> group_;
     std::vector<std::unique_ptr<Tenant>> tenants_;
     std::vector<uint64_t> tenantSubmitted_; //!< payload round-robin
     AdmissionQueue queue_;
@@ -248,6 +248,10 @@ class TraversalService
     uint64_t nextSeq_ = 0;
     sim::Cycle now_ = 0;
     bool ran_ = false;
+    //! Declared last, so destroyed first: ~DeviceGroup joins the staging
+    //! workers, and the verifies still queued on them (after a fatal in
+    //! run(), say) read tenants_ and verifyMismatches_.
+    std::unique_ptr<DeviceGroup> group_;
 };
 
 } // namespace tta::service

@@ -14,27 +14,4 @@ accelModeName(AccelMode mode)
     return "unknown";
 }
 
-void
-Config::print(std::ostream &os) const
-{
-    os << "# Configuration (Table II)\n"
-       << "#   SMs: " << numSms
-       << "  max warps/SM: " << maxWarpsPerSm
-       << "  warp size: " << warpSize << "\n"
-       << "#   L1D: " << l1SizeBytes / 1024 << "KB fully-assoc LRU, "
-       << l1LatencyCycles << " cycles\n"
-       << "#   L2: " << l2SizeBytes / (1024 * 1024) << "MB "
-       << l2Assoc << "-way LRU, " << l2LatencyCycles << " cycles\n"
-       << "#   clocks core:mem = " << coreClockMhz << ":" << memClockMhz
-       << " MHz\n"
-       << "#   TTA units/SM: " << ttaUnitsPerSm
-       << "  warp buffer: " << warpBufferWarps << " warps"
-       << "  intersection sets: " << intersectionSets << "\n"
-       << "#   node layout: width " << bvhNodeWidth
-       << (bvhQuantized ? " quantized" : "")
-       << (rtreeSoa ? ", rtree SoA" : "")
-       << "  fetch width: " << rtaFetchWidth << "\n"
-       << "#   accel mode: " << accelModeName(accelMode) << "\n";
-}
-
 } // namespace tta::sim

@@ -11,8 +11,6 @@
 #define TTA_SIM_CONFIG_HH
 
 #include <cstdint>
-#include <ostream>
-#include <string>
 
 namespace tta::sim {
 
@@ -34,7 +32,6 @@ struct Config
     uint32_t numSms = 8;            //!< # Streaming Multiprocessors
     uint32_t maxWarpsPerSm = 32;    //!< resident warp contexts per SM
     uint32_t warpSize = 32;         //!< threads per warp
-    uint32_t numRegsPerSm = 32768;  //!< register file capacity
 
     // --- Memory hierarchy ------------------------------------------------
     uint32_t l1SizeBytes = 64 * 1024;    //!< L1D, fully assoc LRU
@@ -52,13 +49,11 @@ struct Config
 
     // --- DRAM model --------------------------------------------------------
     uint32_t dramChannels = 4;
-    uint32_t dramBanksPerChannel = 8;
     uint32_t dramServiceLatency = 100;  //!< core cycles, bank access time
     /** Bytes transferable per memory-clock cycle per channel. */
     uint32_t dramBytesPerMemCycle = 16;
 
-    // --- RTA / TTA -------------------------------------------------------
-    uint32_t ttaUnitsPerSm = 1;       //!< accelerators per SM
+    // --- RTA / TTA (one unit per SM) -------------------------------------
     uint32_t warpBufferWarps = 4;     //!< warp buffer size (Fig 14 sweep)
     uint32_t intersectionSets = 4;    //!< parallel intersection unit sets
     uint32_t rayBoxLatency = 13;      //!< fixed-function Ray-Box latency
@@ -89,12 +84,9 @@ struct Config
     /** Wide nodes use the compressed (quantized-plane) encoding; only
      *  meaningful when bvhNodeWidth > 2. */
     bool bvhQuantized = false;
-    /** R-Tree workload serializes the SoA fanout-8 node layout. */
-    bool rtreeSoa = false;
 
     // --- TTA+ --------------------------------------------------------------
     uint32_t icntHopLatency = 1;      //!< crossbar transfer latency
-    uint32_t icntPorts = 16;          //!< 16x16 crosspoint switch
     /** Instances of each OP unit type. Table II provisions four
      *  intersection-unit *sets*; Table IV reports the area of one set. */
     uint32_t opUnitCopies = 4;
@@ -124,9 +116,6 @@ struct Config
         return static_cast<double>(dramBytesPerMemCycle) * dramChannels *
                memClockRatio();
     }
-
-    /** Pretty-print the configuration (Table II style). */
-    void print(std::ostream &os) const;
 };
 
 } // namespace tta::sim

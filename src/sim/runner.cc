@@ -68,11 +68,11 @@ jsonNumber(double v)
 std::string
 configDigest(const Config &cfg)
 {
+    // Every Config field, in declaration order; a new field goes here too.
     uint64_t h = 0xcbf29ce484222325ull; // FNV offset basis
     fnvMix(h, cfg.numSms);
     fnvMix(h, cfg.maxWarpsPerSm);
     fnvMix(h, cfg.warpSize);
-    fnvMix(h, cfg.numRegsPerSm);
     fnvMix(h, cfg.l1SizeBytes);
     fnvMix(h, cfg.l1LatencyCycles);
     fnvMix(h, cfg.l2SizeBytes);
@@ -84,10 +84,8 @@ configDigest(const Config &cfg)
     fnvMix(h, cfg.coreClockMhz);
     fnvMix(h, cfg.memClockMhz);
     fnvMix(h, cfg.dramChannels);
-    fnvMix(h, cfg.dramBanksPerChannel);
     fnvMix(h, cfg.dramServiceLatency);
     fnvMix(h, cfg.dramBytesPerMemCycle);
-    fnvMix(h, cfg.ttaUnitsPerSm);
     fnvMix(h, cfg.warpBufferWarps);
     fnvMix(h, cfg.intersectionSets);
     fnvMix(h, cfg.rayBoxLatency);
@@ -97,8 +95,10 @@ configDigest(const Config &cfg)
     fnvMix(h, cfg.rtaCoalescing);
     fnvMix(h, cfg.rtaArbiterWidth);
     fnvMix(h, cfg.rtaChildPrefetch);
+    fnvMix(h, cfg.rtaFetchWidth);
+    fnvMix(h, cfg.bvhNodeWidth);
+    fnvMix(h, cfg.bvhQuantized);
     fnvMix(h, cfg.icntHopLatency);
-    fnvMix(h, cfg.icntPorts);
     fnvMix(h, cfg.opUnitCopies);
     fnvMix(h, cfg.rcpUnitCopies);
     fnvMix(h, cfg.perfectNodeFetch);

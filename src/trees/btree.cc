@@ -19,6 +19,10 @@ constexpr uint64_t kBase = mem::DeviceImage::kBase;
 static_assert(kBase % BTreeNodeLayout::kNodeBytes == 0,
               "a fresh device's first node-aligned address is kBase");
 
+/** Levels a walk may descend before the image is taken as corrupt or
+ *  cyclic; every bulk-loaded tree is far shallower. */
+constexpr uint32_t kMaxDepth = 64;
+
 /** Keys per node for each variant's bulk load. */
 uint32_t
 fillKeys(BTreeKind kind)
@@ -72,7 +76,9 @@ makeNode(uint32_t flags, const float *keys, uint32_t n_keys,
  * Algorithm 1 down a tree of records: @p node_at(addr) yields the record
  * at device address @p addr, and child i of an inner node sits at
  * childBase + 64*i. The host image and a serialized copy differ only in
- * where node_at reads.
+ * where node_at reads. A walk deeper than kMaxDepth levels is fatal: a
+ * zeroed record reads as an inner node whose child 0 is address 0, so a
+ * zeroed or cyclic image would otherwise never end.
  */
 template <typename NodeAt>
 BTreeQueryResult
@@ -82,6 +88,10 @@ walk(NodeAt node_at, uint64_t root, float query)
     BTreeQueryResult result;
     uint64_t cur = root;
     while (true) {
+        fatal_if(result.depth == kMaxDepth,
+                 "B-Tree walk deeper than %u levels at node 0x%llx: "
+                 "corrupt or cyclic image",
+                 kMaxDepth, static_cast<unsigned long long>(cur));
         ++result.depth;
         result.terminalNode = cur;
         const L &node = node_at(cur);

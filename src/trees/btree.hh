@@ -136,7 +136,11 @@ class BTree
      */
     uint64_t serialize(mem::GlobalMemory &gmem) const;
 
-    /** Reference search against the *serialized* image (for tests). */
+    /**
+     * Reference search against the *serialized* image (for tests).
+     * fatal() on a walk deeper than 64 levels, which only a corrupt or
+     * cyclic image gives (a zeroed record's child 0 is address 0).
+     */
     static BTreeQueryResult searchSerialized(const mem::GlobalMemory &gmem,
                                              uint64_t root_addr,
                                              float query);

@@ -10,15 +10,12 @@ namespace tta::trees {
 
 using L = RTreeNodeLayout;
 
-RTree::RTree(std::vector<Rect2D> objects, uint32_t fanout)
-    : objects_(std::move(objects)), fanout_(fanout)
+RTree::RTree(std::vector<Rect2D> objects) : objects_(std::move(objects))
 {
     panic_if(objects_.empty(), "RTree with no objects");
-    panic_if(fanout_ < 2 || fanout_ > RTreeNodeLayoutSoa::kFanout,
-             "RTree fanout %u not in [2, 8]", fanout_);
 
     // Sort-Tile-Recursive: sort by x-center, slice into vertical strips
-    // of ~sqrt(n/fanout) runs, sort each strip by y-center, chop into
+    // of ~sqrt(n/kFanout) runs, sort each strip by y-center, chop into
     // leaf runs of `kFanout` objects.
     std::vector<uint32_t> ids(objects_.size());
     std::iota(ids.begin(), ids.end(), 0u);
@@ -31,7 +28,7 @@ RTree::RTree(std::vector<Rect2D> objects, uint32_t fanout)
     std::sort(ids.begin(), ids.end(),
               [&](uint32_t a, uint32_t b) { return cx(a) < cx(b); });
 
-    size_t n_leaves = (objects_.size() + fanout_ - 1) / fanout_;
+    size_t n_leaves = (objects_.size() + L::kFanout - 1) / L::kFanout;
     size_t strips = static_cast<size_t>(
         std::ceil(std::sqrt(static_cast<double>(n_leaves))));
     size_t per_strip =
@@ -47,8 +44,8 @@ RTree::RTree(std::vector<Rect2D> objects, uint32_t fanout)
         size_t hi = std::min(ids.size(), lo + per_strip);
         std::sort(ids.begin() + lo, ids.begin() + hi,
                   [&](uint32_t a, uint32_t b) { return cy(a) < cy(b); });
-        for (size_t run = lo; run < hi; run += fanout_) {
-            size_t run_hi = std::min(hi, run + fanout_);
+        for (size_t run = lo; run < hi; run += L::kFanout) {
+            size_t run_hi = std::min(hi, run + L::kFanout);
             Node leaf;
             leaf.leaf = true;
             leaf.objOffset = static_cast<uint32_t>(ordered.size());
@@ -69,8 +66,6 @@ RTree::RTree(std::vector<Rect2D> objects, uint32_t fanout)
     for (uint32_t cur = root_; !nodes_[cur].leaf;
          cur = nodes_[cur].children[0])
         ++height_;
-
-    buildSoaMirror();
 }
 
 uint32_t
@@ -78,8 +73,8 @@ RTree::packLevel(std::vector<uint32_t> level)
 {
     while (level.size() > 1) {
         std::vector<uint32_t> next;
-        for (size_t lo = 0; lo < level.size(); lo += fanout_) {
-            size_t hi = std::min(level.size(), lo + fanout_);
+        for (size_t lo = 0; lo < level.size(); lo += L::kFanout) {
+            size_t hi = std::min(level.size(), lo + L::kFanout);
             Node inner;
             inner.leaf = false;
             inner.box = nodes_[level[lo]].box;
@@ -95,43 +90,14 @@ RTree::packLevel(std::vector<uint32_t> level)
     return level.front();
 }
 
-/**
- * Populate nodeRects_: per node, the child boxes (inner) or leaf object
- * rectangles in SoA lanes, unused lanes holding the empty sentinel.
- */
-void
-RTree::buildSoaMirror()
-{
-    nodeRects_.assign(nodes_.size(), geom::WideRects{});
-    for (size_t n = 0; n < nodes_.size(); ++n) {
-        const Node &node = nodes_[n];
-        geom::WideRects &wide = nodeRects_[n];
-        for (uint32_t i = 0; i < RTreeNodeLayoutSoa::kFanout; ++i) {
-            Rect2D rect{1.0f, 1.0f, -1.0f, -1.0f}; // empty sentinel
-            if (node.leaf) {
-                if (i < node.objCount)
-                    rect = objects_[node.objOffset + i];
-            } else if (i < node.children.size()) {
-                rect = nodes_[node.children[i]].box;
-            }
-            wide.x0[i] = rect.x0;
-            wide.y0[i] = rect.y0;
-            wide.x1[i] = rect.x1;
-            wide.y1[i] = rect.y1;
-        }
-    }
-}
-
 uint32_t
 RTree::countOverlaps(const Rect2D &query) const
 {
     uint32_t count = 0;
-    lastVisits_ = 0;
     std::vector<uint32_t> stack{root_};
     while (!stack.empty()) {
         const Node &node = nodes_[stack.back()];
         stack.pop_back();
-        ++lastVisits_;
         if (node.leaf) {
             for (uint32_t i = 0; i < node.objCount; ++i) {
                 if (objects_[node.objOffset + i].overlaps(query))
@@ -150,10 +116,6 @@ RTree::countOverlaps(const Rect2D &query) const
 uint64_t
 RTree::serialize(mem::GlobalMemory &gmem) const
 {
-    panic_if(fanout_ > L::kFanout,
-             "AoS R-Tree layout holds %u entries, tree has fanout %u "
-             "(use serializeSoa)",
-             L::kFanout, fanout_);
     // BFS so each node's children are contiguous.
     std::vector<uint32_t> order{root_};
     std::vector<uint32_t> slot(nodes_.size(), 0);
@@ -204,58 +166,6 @@ RTree::serialize(mem::GlobalMemory &gmem) const
             gmem.write<float>(entry + 4, rect.y0);
             gmem.write<float>(entry + 8, rect.x1);
             gmem.write<float>(entry + 12, rect.y1);
-        }
-    }
-    return base;
-}
-
-uint64_t
-RTree::serializeSoa(mem::GlobalMemory &gmem) const
-{
-    using S = RTreeNodeLayoutSoa;
-    // BFS so each node's children are contiguous (childBase + i * 160).
-    std::vector<uint32_t> order{root_};
-    std::vector<uint32_t> slot(nodes_.size(), 0);
-    slot[root_] = 0;
-    for (size_t head = 0; head < order.size(); ++head) {
-        for (uint32_t c : nodes_[order[head]].children) {
-            slot[c] = static_cast<uint32_t>(order.size());
-            order.push_back(c);
-        }
-    }
-
-    uint64_t obj_base = gmem.alloc(objects_.size() * 16, 128);
-    for (size_t i = 0; i < objects_.size(); ++i) {
-        gmem.write<float>(obj_base + 16 * i + 0, objects_[i].x0);
-        gmem.write<float>(obj_base + 16 * i + 4, objects_[i].y0);
-        gmem.write<float>(obj_base + 16 * i + 8, objects_[i].x1);
-        gmem.write<float>(obj_base + 16 * i + 12, objects_[i].y1);
-    }
-
-    uint64_t base = gmem.alloc(order.size() * S::kNodeBytes, 128);
-    for (size_t s = 0; s < order.size(); ++s) {
-        const Node &node = nodes_[order[s]];
-        uint64_t addr = base + s * S::kNodeBytes;
-        uint32_t count = node.leaf
-            ? node.objCount
-            : static_cast<uint32_t>(node.children.size());
-        gmem.write<uint32_t>(addr + S::kOffFlags,
-                             (node.leaf ? S::kLeafFlag : 0) |
-                                 (count << 8));
-        uint64_t child_base = node.leaf
-            ? obj_base + static_cast<uint64_t>(node.objOffset) * 16
-            : base + static_cast<uint64_t>(slot[node.children[0]]) *
-                  S::kNodeBytes;
-        gmem.write<uint32_t>(addr + S::kOffChildBase,
-                             static_cast<uint32_t>(child_base));
-        // The SoA mirror already holds exactly these planes (sentinel
-        // lanes included), so serialize straight from it.
-        const geom::WideRects &wide = nodeRects_[order[s]];
-        for (uint32_t i = 0; i < S::kFanout; ++i) {
-            gmem.write<float>(addr + S::kOffX0 + 4 * i, wide.x0[i]);
-            gmem.write<float>(addr + S::kOffY0 + 4 * i, wide.y0[i]);
-            gmem.write<float>(addr + S::kOffX1 + 4 * i, wide.x1[i]);
-            gmem.write<float>(addr + S::kOffY1 + 4 * i, wide.y1[i]);
         }
     }
     return base;

@@ -10,18 +10,19 @@
  * Query-Key unit repurposes (a 2D slab test is a degenerate Ray-Box).
  *
  * Nodes are 128 bytes (one cache line): a header plus up to seven
- * 16-byte child entries (x0, y0, x1, y1). The tree is bulk-loaded with
- * Sort-Tile-Recursive packing; children are serialized contiguously so
- * the hardware addresses child i as childBase + i * 128.
+ * 16-byte child entries (x0, y0, x1, y1), so one fetch feeds one 7-wide
+ * overlap test. The tree is bulk-loaded with Sort-Tile-Recursive
+ * packing at that fanout; children are serialized contiguously so the
+ * hardware addresses child i as childBase + i * 128.
  */
 
 #ifndef TTA_TREES_RTREE_HH
 #define TTA_TREES_RTREE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "geom/simd.hh"
 #include "mem/global_memory.hh"
 
 namespace tta::trees {
@@ -61,56 +62,22 @@ struct RTreeNodeLayout
     static constexpr uint32_t kLeafFlag = 1u;
 };
 
-/**
- * Struct-of-arrays serialized node layout (fanout up to 8, 160 bytes):
- * the same header as the AoS layout, then the child rectangles stored as
- * four f32[8] plane arrays so one node read feeds a rectOverlapBatch
- * call. Unused lanes hold the empty sentinel (x0 > x1); the traversal
- * masks them by count anyway.
- */
-struct RTreeNodeLayoutSoa
-{
-    static constexpr uint32_t kFanout = 8;
-    static constexpr uint32_t kNodeBytes = 160;
-    static constexpr uint32_t kOffFlags = 0;     //!< bit0 leaf, 8..15 count
-    static constexpr uint32_t kOffChildBase = 4; //!< u32 byte addr
-    static constexpr uint32_t kOffX0 = 16;       //!< f32[8]
-    static constexpr uint32_t kOffY0 = 48;
-    static constexpr uint32_t kOffX1 = 80;
-    static constexpr uint32_t kOffY1 = 112;
-    static constexpr uint32_t kLeafFlag = 1u;
-};
-
 class RTree
 {
   public:
-    /**
-     * STR bulk load over object rectangles.
-     * @param fanout children per node, in [2, 8]. The default (7) fills
-     *        one 128-byte AoS node; SoA serialization wants 8.
-     */
-    explicit RTree(std::vector<Rect2D> objects,
-                   uint32_t fanout = RTreeNodeLayout::kFanout);
+    /** STR bulk load over object rectangles, RTreeNodeLayout::kFanout
+     *  children per node. */
+    explicit RTree(std::vector<Rect2D> objects);
 
     size_t numObjects() const { return objects_.size(); }
     size_t numNodes() const { return nodes_.size(); }
     uint32_t height() const { return height_; }
-    uint32_t fanout() const { return fanout_; }
 
     /** Reference range query: number of objects overlapping `query`. */
     uint32_t countOverlaps(const Rect2D &query) const;
 
-    /** Nodes visited by the reference query (divergence indicator). */
-    uint32_t lastVisits() const { return lastVisits_; }
-
     /** Serialize; returns the root node's byte address. */
     uint64_t serialize(mem::GlobalMemory &gmem) const;
-
-    /**
-     * Serialize with the SoA node layout (RTreeNodeLayoutSoa); requires
-     * fanout() <= 8. Returns the root node's byte address.
-     */
-    uint64_t serializeSoa(mem::GlobalMemory &gmem) const;
 
     /** Objects in serialized (leaf-major) order. */
     const std::vector<Rect2D> &orderedObjects() const { return objects_; }
@@ -126,16 +93,11 @@ class RTree
     };
 
     uint32_t packLevel(std::vector<uint32_t> level);
-    void buildSoaMirror();
 
     std::vector<Rect2D> objects_; //!< leaf-major after construction
     std::vector<Node> nodes_;
-    /** Per-node SoA copy of the child (or leaf object) rectangles. */
-    std::vector<geom::WideRects> nodeRects_;
-    uint32_t fanout_ = RTreeNodeLayout::kFanout;
     uint32_t root_ = 0;
     uint32_t height_ = 0;
-    mutable uint32_t lastVisits_ = 0;
 };
 
 } // namespace tta::trees

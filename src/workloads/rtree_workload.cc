@@ -1,9 +1,5 @@
 #include "workloads/rtree_workload.hh"
 
-#include <bit>
-#include <cstring>
-
-#include "geom/intersect.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -11,17 +7,15 @@ namespace tta::workloads {
 
 using trees::Rect2D;
 using trees::RTreeNodeLayout;
-using trees::RTreeNodeLayoutSoa;
 
 namespace {
 constexpr uint32_t kStackBytesPerWarp = 8192; //!< 64 levels x 128B
 } // namespace
 
 RTreeSpec::RTreeSpec(mem::GlobalMemory &gmem, uint64_t root,
-                     uint64_t query_base, uint64_t result_base, bool soa)
+                     uint64_t query_base, uint64_t result_base)
     : gmem_(&gmem), root_(root), queryBase_(query_base),
-      resultBase_(result_base), soa_(soa),
-      prog_(ttaplus::programs::rectOverlap())
+      resultBase_(result_base), prog_(ttaplus::programs::rectOverlap())
 {
 }
 
@@ -43,66 +37,13 @@ void
 RTreeSpec::fetchLines(const rta::RayState & /*ray*/, rta::NodeRef ref,
                       std::vector<uint64_t> &lines) const
 {
-    if (soa_) {
-        // 160-byte SoA nodes straddle cache lines; cover the footprint.
-        uint64_t first = ref & ~127ull;
-        uint64_t last = (ref + RTreeNodeLayoutSoa::kNodeBytes - 1) &
-            ~127ull;
-        for (uint64_t line = first; line <= last; line += 128)
-            lines.push_back(line);
-        return;
-    }
     lines.push_back(ref & ~127ull);
-}
-
-/** SoA node: one rectOverlapBatch call over all entries. */
-rta::NodeOutcome
-RTreeSpec::processNodeSoa(rta::RayState &ray, rta::NodeRef ref)
-{
-    using S = RTreeNodeLayoutSoa;
-    unsigned char buf[S::kNodeBytes];
-    gmem_->readBytes(ref, buf, S::kNodeBytes);
-
-    uint32_t flags;
-    uint32_t child_base;
-    std::memcpy(&flags, buf + S::kOffFlags, 4);
-    std::memcpy(&child_base, buf + S::kOffChildBase, 4);
-    bool leaf = flags & S::kLeafFlag;
-    uint32_t count = (flags >> 8) & 0xff;
-
-    geom::WideRects rects;
-    std::memcpy(rects.x0, buf + S::kOffX0, 32);
-    std::memcpy(rects.y0, buf + S::kOffY0, 32);
-    std::memcpy(rects.x1, buf + S::kOffX1, 32);
-    std::memcpy(rects.y1, buf + S::kOffY1, 32);
-
-    uint32_t mask =
-        geom::rectOverlapBatch(ray.point.x, ray.point.y, ray.accum.x,
-                               ray.accum.y, rects,
-                               static_cast<int>(count));
-    if (leaf) {
-        ray.hitCount += static_cast<uint32_t>(std::popcount(mask));
-    } else {
-        for (uint32_t i = 0; i < count; ++i) {
-            if (mask & (1u << i))
-                ray.stack.push_back(child_base +
-                                    static_cast<uint64_t>(i) *
-                                        S::kNodeBytes);
-        }
-    }
-
-    rta::NodeOutcome out;
-    out.op = rta::OpKind::RayBox;
-    out.isLeaf = leaf;
-    return out;
 }
 
 rta::NodeOutcome
 RTreeSpec::processNode(rta::RayState &ray, rta::NodeRef ref)
 {
     using L = RTreeNodeLayout;
-    if (soa_)
-        return processNodeSoa(ray, ref);
     uint32_t flags = gmem_->read<uint32_t>(ref + L::kOffFlags);
     bool leaf = flags & L::kLeafFlag;
     uint32_t count = (flags >> 8) & 0xff;
@@ -169,7 +110,6 @@ RTreeWorkload::RTreeWorkload(size_t n_objects, size_t n_queries,
         float h = rng.uniform(0.1f, 1.2f);
         objects.push_back({cx - w, cy - h, cx + w, cy + h});
     }
-    inputObjects_ = objects; // kept for the SoA fanout-8 rebuild
     tree_ = std::make_unique<trees::RTree>(std::move(objects));
 
     queries_.reserve(n_queries);
@@ -185,17 +125,9 @@ RTreeWorkload::RTreeWorkload(size_t n_objects, size_t n_queries,
 }
 
 void
-RTreeWorkload::setup(mem::GlobalMemory &gmem, const sim::Config &cfg)
+RTreeWorkload::setup(mem::GlobalMemory &gmem)
 {
-    if (cfg.rtreeSoa) {
-        if (!soaTree_) {
-            soaTree_ = std::make_unique<trees::RTree>(
-                inputObjects_, RTreeNodeLayoutSoa::kFanout);
-        }
-        rootAddr_ = soaTree_->serializeSoa(gmem);
-    } else {
-        rootAddr_ = tree_->serialize(gmem);
-    }
+    rootAddr_ = tree_->serialize(gmem);
     queryBase_ = gmem.alloc(queries_.size() * 16, 128);
     resultBase_ = gmem.alloc(queries_.size() * 4, 128);
     size_t warps = (queries_.size() + 31) / 32;
@@ -312,10 +244,8 @@ RTreeWorkload::makePipeline()
 RunMetrics
 RTreeWorkload::runBaseline(const sim::Config &cfg, sim::StatRegistry &stats)
 {
-    panic_if(cfg.rtreeSoa,
-             "the baseline SIMT kernel traverses the AoS node layout");
     gpu::Gpu device(cfg, stats);
-    setup(device.memory(), cfg);
+    setup(device.memory());
     gpu::KernelProgram kernel = buildBaselineKernel();
     std::vector<uint32_t> params = {static_cast<uint32_t>(queryBase_),
                                     static_cast<uint32_t>(rootAddr_),
@@ -335,9 +265,8 @@ RTreeWorkload::runAccelerated(const sim::Config &cfg,
                               sim::StatRegistry &stats)
 {
     api::TtaDevice device(cfg, stats);
-    setup(device.memory(), cfg);
-    RTreeSpec spec(device.memory(), rootAddr_, queryBase_, resultBase_,
-                   cfg.rtreeSoa);
+    setup(device.memory());
+    RTreeSpec spec(device.memory(), rootAddr_, queryBase_, resultBase_);
     api::TtaPipeline pipeline = makePipeline();
     device.bindPipeline(pipeline, &spec);
     sim::Cycle cycles = device.cmdTraverseTree(queries_.size());

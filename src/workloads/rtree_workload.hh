@@ -4,10 +4,12 @@
  * evaluation; the paper's introduction motivates R-Trees explicitly).
  *
  * Queries count the indexed rectangles overlapping a query window. The
- * inner/leaf test — per-axis interval overlap — runs on the TTA's
- * min/max comparator datapath (the same hardware the Query-Key unit
- * repurposes; a 2D rectangle overlap is a degenerate Ray-Box test) and
- * as a 14-uop Vec3CMP/Logical program on TTA+.
+ * index is one RTree serialized as 128-byte AoS nodes (one cache line,
+ * seven entries). The inner/leaf test — per-axis interval overlap —
+ * runs on the TTA's min/max comparator datapath (the same hardware the
+ * Query-Key unit repurposes; a 2D rectangle overlap is a degenerate
+ * Ray-Box test), as a 14-uop Vec3CMP/Logical program on TTA+, and in
+ * software on the SIMT cores for the baseline.
  */
 
 #ifndef TTA_WORKLOADS_RTREE_WORKLOAD_HH
@@ -28,10 +30,8 @@ namespace tta::workloads {
 class RTreeSpec : public rta::TraversalSpec
 {
   public:
-    /** @param soa nodes use the SoA fanout-8 layout (RTreeNodeLayoutSoa)
-     *        and one rectOverlapBatch call per node. */
     RTreeSpec(mem::GlobalMemory &gmem, uint64_t root, uint64_t query_base,
-              uint64_t result_base, bool soa = false);
+              uint64_t result_base);
 
     void initRay(rta::RayState &ray, uint32_t lane_operand) override;
     void fetchLines(const rta::RayState &ray, rta::NodeRef ref,
@@ -47,13 +47,10 @@ class RTreeSpec : public rta::TraversalSpec
     const ttaplus::Program &leafProgram() const override { return prog_; }
 
   private:
-    rta::NodeOutcome processNodeSoa(rta::RayState &ray, rta::NodeRef ref);
-
     mem::GlobalMemory *gmem_;
     uint64_t root_;
     uint64_t queryBase_;
     uint64_t resultBase_;
-    bool soa_;
     ttaplus::Program prog_;
 };
 
@@ -68,11 +65,9 @@ class RTreeWorkload
     RTreeWorkload(size_t n_objects, size_t n_queries,
                   float query_extent = 2.0f, uint64_t seed = 1);
 
-    /** Serialize with the layout selected by `cfg` (AoS fanout-7 by
-     *  default; SoA fanout-8 when cfg.rtreeSoa — the index is rebuilt
-     *  at fanout 8 from the same input objects). */
-    void setup(mem::GlobalMemory &gmem, const sim::Config &cfg);
-    void setup(mem::GlobalMemory &gmem) { setup(gmem, sim::Config{}); }
+    /** Serialize the tree and lay out the query, result and baseline
+     *  stack buffers. */
+    void setup(mem::GlobalMemory &gmem);
 
     RunMetrics runBaseline(const sim::Config &cfg,
                            sim::StatRegistry &stats);
@@ -99,8 +94,6 @@ class RTreeWorkload
     void captureResults(const mem::GlobalMemory &gmem);
 
     std::unique_ptr<trees::RTree> tree_;
-    std::unique_ptr<trees::RTree> soaTree_; //!< fanout-8 rebuild (lazy)
-    std::vector<trees::Rect2D> inputObjects_; //!< pre-STR object order
     std::vector<trees::Rect2D> queries_;
     std::vector<uint32_t> expected_;
     std::vector<uint32_t> deviceResults_;

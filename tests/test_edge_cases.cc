@@ -1,17 +1,19 @@
 /**
  * @file
  * Edge-case and back-pressure tests that don't fit the per-module
- * suites: queue limits, stack nesting depth, partition properties, and
- * serialized-layout details.
+ * suites: queue limits, stack nesting depth, partition properties,
+ * serialized-layout details, and a walk over a corrupt B-Tree image.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
 
 #include "gpu/simt_stack.hh"
 #include "mem/coalescer.hh"
 #include "mem/memsys.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "trees/btree.hh"
 #include "trees/octree.hh"
@@ -107,6 +109,23 @@ TEST(BTreeEdge, SerializedSearchReportsDepthAndTerminal)
     // B+Tree: both walks reach the same depth (leaf level).
     EXPECT_EQ(miss.depth, tree.height());
     EXPECT_NE(miss.terminalNode, 0u);
+}
+
+// A zeroed record reads as an inner node whose child 0 is address 0,
+// and address 0 reads zero too: the walk must stop by name, not loop.
+TEST(BTreeEdge, ZeroedImageWalkIsFatal)
+{
+    mem::GlobalMemory gmem(1u << 20);
+    uint64_t root = gmem.alloc(trees::BTreeNodeLayout::kNodeBytes);
+    try {
+        trees::BTree::searchSerialized(gmem, root, 1.0f);
+        FAIL() << "the walk over a zeroed image returned";
+    } catch (const sim::FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("corrupt or cyclic image"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("at node 0x0"), std::string::npos) << msg;
+    }
 }
 
 TEST(BarnesHutEdge, TwoDTreeIgnoresZStructure)

@@ -11,7 +11,6 @@
 #include "geom/ray.hh"
 #include "geom/vec.hh"
 #include "sim/rng.hh"
-#include "trees/rtree.hh"
 
 using namespace tta::geom;
 using tta::sim::Rng;
@@ -356,45 +355,6 @@ TEST_P(SimdBatchProperty, PointInBoxBatchMatchesContains)
         ASSERT_EQ(mask >> count, 0u);
         for (int i = 0; i < count; ++i) {
             ASSERT_EQ((mask >> i) & 1u, boxes[i].contains(p) ? 1u : 0u)
-                << "iter " << iter << " lane " << i;
-        }
-    }
-}
-
-TEST_P(SimdBatchProperty, RectOverlapBatchMatchesScalarOverlaps)
-{
-    Rng rng(GetParam() * 6364136223846793005ull + 13);
-    for (int iter = 0; iter < 300; ++iter) {
-        tta::trees::Rect2D rects[8];
-        WideRects wide;
-        for (int i = 0; i < 8; ++i) {
-            float x = rng.uniform(-50, 50), y = rng.uniform(-50, 50);
-            float w = rng.nextBounded(4) == 0 ? 0.0f
-                                              : rng.uniform(0.1f, 6.0f);
-            float h = rng.nextBounded(4) == 0 ? 0.0f
-                                              : rng.uniform(0.1f, 6.0f);
-            rects[i] = {x, y, x + w, y + h};
-            if (rng.nextBounded(8) == 0) // inverted (empty) rectangle
-                std::swap(rects[i].x0, rects[i].x1);
-            wide.x0[i] = rects[i].x0;
-            wide.y0[i] = rects[i].y0;
-            wide.x1[i] = rects[i].x1;
-            wide.y1[i] = rects[i].y1;
-        }
-        float qx = rng.uniform(-50, 50), qy = rng.uniform(-50, 50);
-        tta::trees::Rect2D query{qx, qy, qx + rng.uniform(0, 8),
-                                 qy + rng.uniform(0, 8)};
-        // Shared-edge queries pin the inclusive boundary semantics.
-        if (rng.nextBounded(3) == 0)
-            query.x0 = rects[rng.nextBounded(8)].x1;
-
-        int count = 1 + static_cast<int>(rng.nextBounded(8));
-        uint32_t mask = rectOverlapBatch(query.x0, query.y0, query.x1,
-                                         query.y1, wide, count);
-        ASSERT_EQ(mask >> count, 0u);
-        for (int i = 0; i < count; ++i) {
-            ASSERT_EQ((mask >> i) & 1u,
-                      query.overlaps(rects[i]) ? 1u : 0u)
                 << "iter " << iter << " lane " << i;
         }
     }

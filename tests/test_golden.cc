@@ -84,8 +84,9 @@ const GoldenCase kCases[] = {
          NBodyWorkload wl(2, 256, 3);
          return wl.runAccelerated(modeConfig(sim::AccelMode::Tta), stats);
      }},
-    // Wide SoA node layouts: snapshots pin both the layout serialization
-    // (node strides, fetch-line counts) and the rtaFetchWidth timing.
+    // Wide SoA node layout: the snapshot pins both the layout
+    // serialization (node strides, fetch-line counts) and the
+    // rtaFetchWidth timing.
     {"rtnn_wide4",
      [](sim::StatRegistry &stats) {
          RtnnWorkload wl(1500, 48, 1.0f, 9);
@@ -93,13 +94,6 @@ const GoldenCase kCases[] = {
          cfg.bvhNodeWidth = 4;
          cfg.rtaFetchWidth = 2;
          return wl.runAccelerated(cfg, stats, true);
-     }},
-    {"rtree_soa",
-     [](sim::StatRegistry &stats) {
-         RTreeWorkload wl(300, 64, 2.0f, 5);
-         sim::Config cfg = modeConfig(sim::AccelMode::TtaPlus);
-         cfg.rtreeSoa = true;
-         return wl.runAccelerated(cfg, stats);
      }},
 };
 
@@ -219,7 +213,7 @@ INSTANTIATE_TEST_SUITE_P(Configs, GoldenStats,
 // The snapshots were recorded under the polling reference kernel, and
 // GoldenStats replays them under the default event kernel; replaying
 // them under polling too keeps every golden config (TTA+, N-Body, the
-// wide and SoA layouts) under a polling-vs-event check.
+// wide SoA BVH layout) under a polling-vs-event check.
 TEST_P(GoldenStatsPolling, MatchesSnapshot)
 {
     if (std::getenv("TTA_UPDATE_GOLDEN"))

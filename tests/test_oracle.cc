@@ -124,21 +124,17 @@ bruteForceOverlaps(const std::vector<trees::Rect2D> &objects,
 }
 
 void
-checkRTreeSeed(uint64_t seed, sim::AccelMode mode, bool baseline,
-               bool soa = false)
+checkRTreeSeed(uint64_t seed, sim::AccelMode mode, bool baseline)
 {
     size_t n_objects = 150 + seed % 211;
     float extent = 1.0f + 0.25f * static_cast<float>(seed % 13);
     RTreeWorkload wl(n_objects, 32, extent, seed * 2654435761ull + 3);
 
     sim::StatRegistry stats;
-    if (baseline) {
+    if (baseline)
         wl.runBaseline(modeConfig(sim::AccelMode::BaselineGpu), stats);
-    } else {
-        sim::Config cfg = modeConfig(mode);
-        cfg.rtreeSoa = soa;
-        wl.runAccelerated(cfg, stats);
-    }
+    else
+        wl.runAccelerated(modeConfig(mode), stats);
 
     const auto &objects = wl.tree().orderedObjects();
     const auto &queries = wl.queries();
@@ -163,16 +159,6 @@ TEST(OracleRTree, BaselineKernelMatchesBruteForceCount)
     for (uint64_t seed = 100; seed < 105; ++seed)
         checkRTreeSeed(seed, sim::AccelMode::BaselineGpu,
                        /*baseline=*/true);
-}
-
-// The SoA fanout-8 layout is a pure layout change: the device must
-// return the same counts as the brute force on every seed (the index is
-// rebuilt at fanout 8, but the object multiset is identical).
-TEST(OracleRTree, SoaLayoutMatchesBruteForceCount)
-{
-    for (uint64_t seed = 200; seed < 215; ++seed)
-        checkRTreeSeed(seed, pickMode(seed), /*baseline=*/false,
-                       /*soa=*/true);
 }
 
 // --- BVH closest-hit -------------------------------------------------------

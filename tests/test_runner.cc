@@ -3,7 +3,8 @@
  * ExperimentRunner unit tests: submission-order results, error
  * propagation (a throwing job must not wedge the pool), the zero-core
  * hardware-concurrency fallback, serial/parallel determinism of the
- * JSON records, and config-digest stability.
+ * JSON records, and a config digest that is stable and changes with
+ * every field.
  *
  * Run-level parallelism is the simulator's host parallelism, so the
  * ThreadedOracle tests hold simulations on pool workers to the run on
@@ -22,6 +23,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -194,16 +196,67 @@ TEST(Runner, ConfigDigestStableAndFieldSensitive)
     EXPECT_EQ(sim::configDigest(a), sim::configDigest(b));
     EXPECT_EQ(sim::configDigest(a).size(), 16u);
 
-    b.accelMode = sim::AccelMode::TtaPlus;
-    EXPECT_NE(sim::configDigest(a), sim::configDigest(b));
-
-    sim::Config c;
-    c.icntHopLatency += 1;
-    EXPECT_NE(sim::configDigest(a), sim::configDigest(c));
-
-    sim::Config d;
-    d.rtaCoalescing = !d.rtaCoalescing;
-    EXPECT_NE(sim::configDigest(a), sim::configDigest(d));
+    // Changing any one field gives a digest of its own. The node-layout
+    // fields (rtaFetchWidth, bvhNodeWidth, bvhQuantized) change
+    // bench_fig14_sensitivity's results, so its records must tell them
+    // apart.
+    using Edit = std::function<void(sim::Config &)>;
+    const std::vector<std::pair<const char *, Edit>> edits = {
+        {"numSms", [](sim::Config &c) { ++c.numSms; }},
+        {"maxWarpsPerSm", [](sim::Config &c) { ++c.maxWarpsPerSm; }},
+        {"warpSize", [](sim::Config &c) { ++c.warpSize; }},
+        {"l1SizeBytes", [](sim::Config &c) { ++c.l1SizeBytes; }},
+        {"l1LatencyCycles", [](sim::Config &c) { ++c.l1LatencyCycles; }},
+        {"l2SizeBytes", [](sim::Config &c) { ++c.l2SizeBytes; }},
+        {"l2Assoc", [](sim::Config &c) { ++c.l2Assoc; }},
+        {"l2LatencyCycles", [](sim::Config &c) { ++c.l2LatencyCycles; }},
+        {"lineSizeBytes", [](sim::Config &c) { ++c.lineSizeBytes; }},
+        {"l1MshrEntries", [](sim::Config &c) { ++c.l1MshrEntries; }},
+        {"l2MshrEntries", [](sim::Config &c) { ++c.l2MshrEntries; }},
+        {"coreClockMhz", [](sim::Config &c) { c.coreClockMhz += 1.0; }},
+        {"memClockMhz", [](sim::Config &c) { c.memClockMhz += 1.0; }},
+        {"dramChannels", [](sim::Config &c) { ++c.dramChannels; }},
+        {"dramServiceLatency",
+         [](sim::Config &c) { ++c.dramServiceLatency; }},
+        {"dramBytesPerMemCycle",
+         [](sim::Config &c) { ++c.dramBytesPerMemCycle; }},
+        {"warpBufferWarps", [](sim::Config &c) { ++c.warpBufferWarps; }},
+        {"intersectionSets", [](sim::Config &c) { ++c.intersectionSets; }},
+        {"rayBoxLatency", [](sim::Config &c) { ++c.rayBoxLatency; }},
+        {"rayTriLatency", [](sim::Config &c) { ++c.rayTriLatency; }},
+        {"intersectionLatencyScale",
+         [](sim::Config &c) { c.intersectionLatencyScale *= 10.0; }},
+        {"ttaIsolatedMinMax",
+         [](sim::Config &c) { c.ttaIsolatedMinMax = !c.ttaIsolatedMinMax; }},
+        {"rtaCoalescing",
+         [](sim::Config &c) { c.rtaCoalescing = !c.rtaCoalescing; }},
+        {"rtaArbiterWidth", [](sim::Config &c) { ++c.rtaArbiterWidth; }},
+        {"rtaChildPrefetch",
+         [](sim::Config &c) { c.rtaChildPrefetch = !c.rtaChildPrefetch; }},
+        {"rtaFetchWidth", [](sim::Config &c) { c.rtaFetchWidth = 2; }},
+        {"bvhNodeWidth", [](sim::Config &c) { c.bvhNodeWidth = 4; }},
+        {"bvhQuantized",
+         [](sim::Config &c) { c.bvhQuantized = !c.bvhQuantized; }},
+        {"icntHopLatency", [](sim::Config &c) { ++c.icntHopLatency; }},
+        {"opUnitCopies", [](sim::Config &c) { ++c.opUnitCopies; }},
+        {"rcpUnitCopies", [](sim::Config &c) { ++c.rcpUnitCopies; }},
+        {"perfectNodeFetch",
+         [](sim::Config &c) { c.perfectNodeFetch = !c.perfectNodeFetch; }},
+        {"perfectMemory",
+         [](sim::Config &c) { c.perfectMemory = !c.perfectMemory; }},
+        {"accelMode",
+         [](sim::Config &c) { c.accelMode = sim::AccelMode::Tta; }},
+        {"watchdogCycles", [](sim::Config &c) { ++c.watchdogCycles; }},
+    };
+    std::vector<std::string> seen{sim::configDigest(a)};
+    for (const auto &[field, edit] : edits) {
+        sim::Config cfg;
+        edit(cfg);
+        const std::string digest = sim::configDigest(cfg);
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), digest), 0)
+            << field << " does not change the digest";
+        seen.push_back(digest);
+    }
 }
 
 namespace {

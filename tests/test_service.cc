@@ -9,6 +9,9 @@
  *    latency histogram and the whole stat registry bit-for-bit,
  *  - DeviceGroup start-up and shutdown with pipelined staging workers
  *    (the race detector's case for the worker hand-off),
+ *  - a batch past its tenant's verify tolerance is a fatal that names
+ *    the tenant and the device and reaches the caller of run(), with
+ *    and without staging workers,
  *  - a golden-stat snapshot of that config (tests/golden/
  *    service_small.json, TTA_UPDATE_GOLDEN=1 regenerates),
  *  - admission behavior against hand-written traces: full-batch
@@ -35,6 +38,7 @@
 
 #include "json_lite.hh"
 #include "service/service.hh"
+#include "sim/logging.hh"
 #include "sim/runner.hh"
 #include "sim/ticked.hh"
 
@@ -179,6 +183,58 @@ TEST(DeviceGroupLifecycle, PipelinedStartAndStop)
         ASSERT_EQ(group.size(), 4u);
         EXPECT_TRUE(group.pipelined());
         group.drain();
+    }
+}
+
+namespace {
+
+/** A B-Tree tenant whose every result reads wrong. */
+class WrongResultsTenant : public BTreeTenant
+{
+  public:
+    using BTreeTenant::BTreeTenant;
+
+    size_t
+    verifyBatch(const ServiceDevice &, uint32_t,
+                const std::vector<QueryTicket> &batch) const override
+    {
+        return batch.size();
+    }
+};
+
+} // namespace
+
+// A batch past its tenant's verify tolerance is fatal, and the error
+// reaches the caller of run() from the inline path and from a staging
+// worker alike, naming the tenant and the device.
+TEST(ServiceVerify, MismatchesPastToleranceAreFatal)
+{
+    for (bool pipelined : {false, true}) {
+        ServicePolicy policy;
+        policy.maxBatch = 16;
+        policy.maxWaitCycles = 2000;
+        policy.numDevices = 2;
+        policy.pipelinedStaging = pipelined;
+        sim::StatRegistry stats;
+        TraversalService svc(serviceConfig(), stats, policy);
+        svc.addTenant(
+            std::make_unique<WrongResultsTenant>("wrong", 200, 64, 11));
+
+        TrafficConfig tc;
+        tc.process = ArrivalProcess::Poisson;
+        tc.totalQueries = 64;
+        tc.meanGapCycles = 10.0;
+        TrafficGen gen(tc, svc.numTenants(), 3);
+        try {
+            svc.run(gen);
+            ADD_FAILURE() << "run returned; pipelined=" << pipelined;
+        } catch (const sim::FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("tenant 'wrong' device "), std::string::npos)
+                << "pipelined=" << pipelined << ": " << msg;
+            EXPECT_NE(msg.find("result mismatches"), std::string::npos)
+                << "pipelined=" << pipelined << ": " << msg;
+        }
     }
 }
 
