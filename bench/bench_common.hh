@@ -77,7 +77,6 @@ struct Args
     uint64_t seed = 7;
     uint64_t jobs = 0;       //!< runner threads; 0 = hardware concurrency
     uint64_t jsonTiming = 1; //!< include wall_ms in JSON records
-    uint64_t rebuildDevice = 0; //!< escape hatch: bypass WorkloadCache
     std::string json;        //!< JSON record sink; empty = off, "-" = stdout
     std::string trace;       //!< Chrome-trace sink; empty = tracing off
     uint32_t traceMask = sim::TraceAllCategories;
@@ -175,17 +174,6 @@ class FlagSet
             [&field](const std::string &) { field = true; });
     }
 
-    /** Valueless-or-valued flag: bare sets 1, --name=N sets N. */
-    void
-    toggle(const char *name, uint64_t &field, const char *help)
-    {
-        std::string flag_name = std::string("--") + name;
-        add(name, Arity::Optional, help,
-            [&field, flag_name](const std::string &v) {
-                field = parseUnsigned(flag_name, v, UINT64_MAX);
-            });
-    }
-
     /** Arbitrary handler; @p takes_value decides --name vs --name=V. */
     void
     custom(const char *name, bool takes_value, const char *help,
@@ -206,8 +194,6 @@ class FlagSet
             std::string left = "--" + o.name;
             if (o.arity == Arity::Required)
                 left += "=V";
-            else if (o.arity == Arity::Optional)
-                left += "[=V]";
             std::printf("  %-26s %s\n", left.c_str(), o.help.c_str());
         }
         std::printf("  %-26s %s\n", "--help", "print this and exit 0");
@@ -254,10 +240,6 @@ class FlagSet
                 std::fprintf(stderr, "--%s takes no value\n",
                              opt->name.c_str());
                 std::exit(kExitUsage);
-            } else if (opt->arity == Arity::Optional && !have_value) {
-                // assign(), not = "1": gcc 12 raises a false -Wrestrict
-                // on the literal assignment.
-                value.assign(1, '1');
             }
             opt->fn(value);
         }
@@ -296,8 +278,7 @@ class FlagSet
     enum class Arity
     {
         None,
-        Required,
-        Optional
+        Required
     };
 
     struct Opt
@@ -348,8 +329,6 @@ registerCommonFlags(FlagSet &fs, Args &args)
            "append one JSON record per run ('-' = stdout)");
     fs.number("json-timing", args.jsonTiming,
               "0 omits wall_ms for byte-identical records");
-    fs.toggle("rebuild-device", args.rebuildDevice,
-              "bypass the WorkloadCache");
     fs.custom("trace", true, "Chrome-trace output FILE[:mask]",
               [&args](const std::string &v) { args.setTraceSpec(v); });
 }
@@ -388,18 +367,9 @@ geomean(const std::vector<double> &xs)
 }
 
 /**
- * Host-side workload build cache for sweeps that run the *same*
- * workload under several device configs (e.g. fig12 builds one B-Tree
- * per (kind, keys) three times and one RTNN index six times).
- *
- * get() builds the workload once per key and hands every run a fresh
- * copy of the cached prototype (immutable parts such as a B-Tree's
- * image are shared, the rest cloned). Each run still constructs its own
- * device and stat registry — only the host-side build (tree
- * construction, reference query evaluation) is shared — so results are
- * bit-identical to rebuilding from scratch; the WorkloadCacheIdentity
- * tests in tests/test_service.cc prove it and `--rebuild-device`
- * bypasses the cache entirely.
+ * Host-side build cache for read-only state that many consumers share
+ * at once: service tenant data is built once per key and shared across
+ * tenants, devices and the scenarios of one bench_service process.
  *
  * Thread-safe: concurrent pool jobs asking for the same key build it
  * once (the others block until the prototype is ready); distinct keys
@@ -408,40 +378,16 @@ geomean(const std::vector<double> &xs)
 class WorkloadCache
 {
   public:
-    /** @param enabled false (--rebuild-device) = always build fresh. */
-    explicit WorkloadCache(bool enabled) : enabled_(enabled) {}
-
-    template <class W, class Build>
-    W
-    get(const std::string &key, Build &&build)
-    {
-        if (!enabled_) {
-            lookups_.fetch_add(1, std::memory_order_relaxed);
-            return build();
-        }
-        auto entry = lookup<W>(key);
-        std::call_once(entry->once,
-                       [&] { entry->proto =
-                                 std::make_shared<const W>(build()); });
-        return W(*entry->proto); // fresh copy per run
-    }
-
     /**
-     * Like get(), but shares the immutable prototype itself instead of
-     * deep-copying it — for read-only host state safely referenced by
-     * many consumers at once (e.g. service tenant data shared across
-     * tenants and devices). @p build must return the
-     * shared_ptr<const W> to cache, so types whose internals
-     * self-reference (and so must never move) are built in place.
+     * The shared immutable prototype for @p key, built on first use.
+     * @p build must return the shared_ptr<const W> to cache, so types
+     * whose internals self-reference (and so must never move) are built
+     * in place.
      */
     template <class W, class Build>
     std::shared_ptr<const W>
     getShared(const std::string &key, Build &&build)
     {
-        if (!enabled_) {
-            lookups_.fetch_add(1, std::memory_order_relaxed);
-            return build();
-        }
         auto entry = lookup<W>(key);
         std::call_once(entry->once, [&] { entry->proto = build(); });
         return entry->proto;
@@ -481,7 +427,6 @@ class WorkloadCache
         return std::static_pointer_cast<Entry<W>>(it->second);
     }
 
-    bool enabled_;
     std::mutex mu_;
     std::map<std::string, std::shared_ptr<void>> cache_;
     std::atomic<uint64_t> lookups_{0};

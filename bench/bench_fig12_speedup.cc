@@ -22,10 +22,6 @@ main(int argc, char **argv)
     printHeader("Figure 12", "Speedup over the baseline GPU", args);
 
     Sweep sweep(args);
-    // The baseline/TTA/TTA+ runs of one row share the identical host
-    // tree: build it once, hand each run a copy
-    // (--rebuild-device restores the old build-per-run behavior).
-    static WorkloadCache cache(args.rebuildDevice == 0);
 
     // --- B-Tree variants over a key-count sweep -------------------------
     struct BTreeRow
@@ -41,20 +37,14 @@ main(int argc, char **argv)
             std::string tag = std::string("btree/") +
                               trees::bTreeKindName(kind) + "/" +
                               std::to_string(keys);
-            auto build = [kind, keys, tag, &args]() {
-                return cache.get<BTreeWorkload>(tag, [&] {
-                    return BTreeWorkload(kind, keys, args.queries,
-                                         args.seed);
-                });
-            };
-            auto runBase = [build](const sim::Config &cfg,
-                                   sim::StatRegistry &stats) {
-                BTreeWorkload wl = build();
+            auto runBase = [kind, keys, &args](const sim::Config &cfg,
+                                               sim::StatRegistry &stats) {
+                BTreeWorkload wl(kind, keys, args.queries, args.seed);
                 return wl.runBaseline(cfg, stats);
             };
-            auto runAccel = [build](const sim::Config &cfg,
-                                    sim::StatRegistry &stats) {
-                BTreeWorkload wl = build();
+            auto runAccel = [kind, keys, &args](const sim::Config &cfg,
+                                                sim::StatRegistry &stats) {
+                BTreeWorkload wl(kind, keys, args.queries, args.seed);
                 return wl.runAccelerated(cfg, stats);
             };
             BTreeRow row;
@@ -111,21 +101,16 @@ main(int argc, char **argv)
     }
 
     // --- RTNN radius search -------------------------------------------------
-    auto rtnnBuild = [&args]() {
-        return cache.get<RtnnWorkload>("rtnn", [&] {
-            return RtnnWorkload(args.points, args.queries / 4, 1.0f,
-                                args.seed);
-        });
-    };
-    auto rtnnBase = [rtnnBuild](const sim::Config &cfg,
-                                sim::StatRegistry &stats) {
-        RtnnWorkload wl = rtnnBuild();
+    auto rtnnBase = [&args](const sim::Config &cfg,
+                            sim::StatRegistry &stats) {
+        RtnnWorkload wl(args.points, args.queries / 4, 1.0f, args.seed);
         return wl.runBaseline(cfg, stats);
     };
-    auto rtnnAccel = [rtnnBuild](bool offload) {
-        return [offload, rtnnBuild](const sim::Config &cfg,
-                                    sim::StatRegistry &stats) {
-            RtnnWorkload wl = rtnnBuild();
+    auto rtnnAccel = [&args](bool offload) {
+        return [offload, &args](const sim::Config &cfg,
+                                sim::StatRegistry &stats) {
+            RtnnWorkload wl(args.points, args.queries / 4, 1.0f,
+                            args.seed);
             return wl.runAccelerated(cfg, stats, offload);
         };
     };

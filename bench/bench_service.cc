@@ -822,7 +822,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    WorkloadCache cache(args.rebuildDevice == 0);
+    WorkloadCache cache;
 
     if (sargs.filter == "overload" || sargs.scenario == "overload") {
         if (args.queries == 16384)

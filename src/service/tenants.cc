@@ -1,9 +1,6 @@
 #include "service/tenants.hh"
 
-#include <cmath>
-
 #include "sim/logging.hh"
-#include "sim/rng.hh"
 
 namespace tta::service {
 
@@ -19,37 +16,12 @@ Tenant::newBinding(const ServiceDevice &dev)
 
 // --- BTreeTenant --------------------------------------------------------
 
-namespace {
-
-std::vector<float>
-makeBTreeKeys(size_t n_keys)
-{
-    // Even-integer keys (exact as floats), odd integers guaranteed
-    // absent — the same scheme BTreeWorkload uses.
-    std::vector<float> keys(n_keys);
-    for (size_t i = 0; i < n_keys; ++i)
-        keys[i] = 2.0f * static_cast<float>(i + 1);
-    return keys;
-}
-
-} // namespace
-
 BTreeTenantData::BTreeTenantData(size_t n_keys, size_t pool_size,
                                  uint64_t seed, double hit_rate)
-    : tree(trees::BTreeKind::BPlusTree, makeBTreeKeys(n_keys))
+    : BTreeInputs(trees::BTreeKind::BPlusTree, n_keys, pool_size, seed,
+                  hit_rate)
 {
     fatal_if(pool_size == 0, "BTreeTenantData: empty payload pool");
-    sim::Rng rng(seed);
-    pool.resize(pool_size);
-    expected.resize(pool_size);
-    for (size_t q = 0; q < pool_size; ++q) {
-        if (rng.nextDouble() < hit_rate)
-            pool[q] = 2.0f * static_cast<float>(rng.nextBounded(n_keys) + 1);
-        else
-            pool[q] =
-                2.0f * static_cast<float>(rng.nextBounded(n_keys)) + 1.0f;
-        expected[q] = tree.search(pool[q]).found ? 1 : 0;
-    }
 }
 
 std::shared_ptr<const BTreeTenantData>
@@ -58,14 +30,6 @@ BTreeTenantData::build(size_t n_keys, size_t pool_size, uint64_t seed,
 {
     return std::make_shared<const BTreeTenantData>(n_keys, pool_size,
                                                    seed, hit_rate);
-}
-
-BTreeTenant::BTreeTenant(std::string name,
-                         std::shared_ptr<const BTreeTenantData> data)
-    : Tenant(std::move(name)), data_(std::move(data))
-{
-    fatal_if(!data_, "BTreeTenant '%s': null data", name_.c_str());
-    poolSize_ = data_->pool.size();
 }
 
 BTreeTenant::BTreeTenant(std::string name, size_t n_keys,
@@ -82,76 +46,21 @@ BTreeTenant::install(ServiceDevice &dev, uint32_t max_batch)
     mem::GlobalMemory &gmem = dev.memory();
     uint64_t root = data_->tree.serialize(gmem);
     for (uint32_t p = 0; p < kStagingParities; ++p) {
-        b.queryBase[p] = gmem.alloc(4ull * max_batch, 128);
-        b.resultBase[p] = gmem.alloc(4ull * max_batch, 128);
+        const workloads::BTreeLanes &l = addLanes(dev, b, p, max_batch);
         specs_.push_back(std::make_unique<workloads::BTreeSpec>(
-            gmem, root, b.queryBase[p], b.resultBase[p]));
+            gmem, root, l.queryBase, l.resultBase));
         b.slot[p] = dev.bindPipelineSlot(
             workloads::BTreeWorkload::makePipeline(), specs_.back().get());
     }
-}
-
-void
-BTreeTenant::writeBatch(ServiceDevice &dev, uint32_t parity,
-                        const std::vector<QueryTicket> &batch)
-{
-    mem::GlobalMemory &gmem = dev.memory();
-    const Binding &b = bindings_[dev.index()];
-    for (size_t i = 0; i < batch.size(); ++i) {
-        gmem.write<float>(b.queryBase[parity] + 4 * i,
-                          data_->pool[batch[i].payload]);
-        gmem.write<uint32_t>(b.resultBase[parity] + 4 * i, 0xdeadbeefu);
-    }
-}
-
-size_t
-BTreeTenant::verifyBatch(const ServiceDevice &dev, uint32_t parity,
-                         const std::vector<QueryTicket> &batch) const
-{
-    const mem::GlobalMemory &gmem = dev.memory();
-    const Binding &b = bindings_[dev.index()];
-    size_t bad = 0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-        uint32_t got =
-            gmem.read<uint32_t>(b.resultBase[parity] + 4 * i);
-        if (got != data_->expected[batch[i].payload])
-            ++bad;
-    }
-    return bad;
 }
 
 // --- RadiusTenant -------------------------------------------------------
 
 RadiusTenantData::RadiusTenantData(size_t n_points, size_t pool_size,
                                    float radius, uint64_t seed)
-    : cloud(trees::PointCloud::generateLidarLike(n_points, seed))
+    : RadiusInputs(n_points, pool_size, radius, seed)
 {
     fatal_if(pool_size == 0, "RadiusTenantData: empty payload pool");
-    // Built here, not in the init list: the index keeps a pointer to
-    // `cloud`, which must already sit at its final address.
-    index = std::make_unique<trees::RadiusSearchIndex>(cloud, radius);
-
-    // Same query mix as RtnnWorkload: mostly jittered cloud points,
-    // the rest uniform over the scene volume.
-    sim::Rng rng(seed ^ 0x9e3779b9ull);
-    pool.reserve(pool_size);
-    for (size_t q = 0; q < pool_size; ++q) {
-        if (rng.nextFloat() < 0.7f) {
-            const geom::Vec3 &p =
-                cloud.points[rng.nextBounded(cloud.points.size())];
-            pool.push_back({p.x + 0.3f * rng.gaussian(),
-                            p.y + 0.3f * rng.gaussian(),
-                            p.z + 0.1f * rng.gaussian()});
-        } else {
-            pool.push_back({rng.uniform(-80.0f, 80.0f),
-                            rng.uniform(-80.0f, 80.0f),
-                            rng.uniform(0.0f, 6.0f)});
-        }
-    }
-    expected.reserve(pool_size);
-    for (const auto &q : pool)
-        expected.push_back(
-            static_cast<uint32_t>(index->query(q).size()));
 }
 
 std::shared_ptr<const RadiusTenantData>
@@ -160,14 +69,6 @@ RadiusTenantData::build(size_t n_points, size_t pool_size, float radius,
 {
     return std::make_shared<const RadiusTenantData>(n_points, pool_size,
                                                     radius, seed);
-}
-
-RadiusTenant::RadiusTenant(std::string name,
-                           std::shared_ptr<const RadiusTenantData> data)
-    : Tenant(std::move(name)), data_(std::move(data))
-{
-    fatal_if(!data_, "RadiusTenant '%s': null data", name_.c_str());
-    poolSize_ = data_->pool.size();
 }
 
 RadiusTenant::RadiusTenant(std::string name, size_t n_points,
@@ -185,13 +86,9 @@ RadiusTenant::install(ServiceDevice &dev, uint32_t max_batch)
     trees::SerializedBvh sbvh = data_->index->bvh().serialize(gmem);
     uint64_t pointBase = data_->cloud.serialize(gmem);
     for (uint32_t p = 0; p < kStagingParities; ++p) {
-        b.queryBase[p] = gmem.alloc(
-            static_cast<uint64_t>(max_batch) *
-                trees::PointLayout::kPointBytes,
-            128);
-        b.resultBase[p] = gmem.alloc(4ull * max_batch, 128);
+        const workloads::RadiusLanes &l = addLanes(dev, b, p, max_batch);
         specs_.push_back(std::make_unique<workloads::RtnnSpec>(
-            gmem, sbvh, pointBase, b.queryBase[p], b.resultBase[p],
+            gmem, sbvh, pointBase, l.queryBase, l.resultBase,
             data_->index->radius(), /*offload_leaf=*/true));
         b.slot[p] = dev.bindPipelineSlot(
             workloads::RtnnWorkload::makePipeline(/*offload_leaf=*/true),
@@ -199,73 +96,18 @@ RadiusTenant::install(ServiceDevice &dev, uint32_t max_batch)
     }
 }
 
-void
-RadiusTenant::writeBatch(ServiceDevice &dev, uint32_t parity,
-                         const std::vector<QueryTicket> &batch)
-{
-    mem::GlobalMemory &gmem = dev.memory();
-    const Binding &b = bindings_[dev.index()];
-    for (size_t i = 0; i < batch.size(); ++i) {
-        const geom::Vec3 &q = data_->pool[batch[i].payload];
-        uint64_t addr =
-            b.queryBase[parity] + i * trees::PointLayout::kPointBytes;
-        gmem.write<float>(addr + 0, q.x);
-        gmem.write<float>(addr + 4, q.y);
-        gmem.write<float>(addr + 8, q.z);
-        gmem.write<uint32_t>(b.resultBase[parity] + 4 * i, 0xdeadbeefu);
-    }
-}
-
-size_t
-RadiusTenant::verifyBatch(const ServiceDevice &dev, uint32_t parity,
-                          const std::vector<QueryTicket> &batch) const
-{
-    const mem::GlobalMemory &gmem = dev.memory();
-    const Binding &b = bindings_[dev.index()];
-    size_t bad = 0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-        uint32_t got =
-            gmem.read<uint32_t>(b.resultBase[parity] + 4 * i);
-        if (got != data_->expected[batch[i].payload])
-            ++bad;
-    }
-    return bad;
-}
-
 // --- RayTenant ----------------------------------------------------------
 
-RayTenantData::RayTenantData(workloads::SceneKind scene_kind,
-                             size_t pool_size, uint64_t rng_seed)
-    : kind(scene_kind), seed(rng_seed)
+RayTenantData::RayTenantData(workloads::SceneKind kind, size_t pool_size,
+                             uint64_t seed)
+    : scene(kind, seed),
+      pool(workloads::RayTracingWorkload::randomPrimaryRays(
+          scene, pool_size, seed))
 {
     fatal_if(pool_size == 0, "RayTenantData: empty payload pool");
-    // A throwaway scene computes the reference hits; tenant instances
-    // rebuild their own scenes from (kind, seed) because serialize()
-    // stores device layout inside the scene object.
-    workloads::RtScene scene(kind, seed);
-
-    // Random pinhole-camera rays: jittered image-plane samples, the
-    // same camera model the figure workload rasterizes.
-    const auto &g = scene.geometry();
-    geom::Vec3 forward = geom::normalize(g.cameraTarget - g.cameraPos);
-    geom::Vec3 right = geom::normalize(geom::cross(forward, {0, 1, 0}));
-    geom::Vec3 up = geom::cross(right, forward);
-    float half = std::tan(g.fovDegrees * 3.14159265f / 360.0f);
-
-    sim::Rng rng(seed ^ 0x5bd1e995ull);
-    pool.reserve(pool_size);
     expected.reserve(pool_size);
-    for (size_t q = 0; q < pool_size; ++q) {
-        float sx = rng.uniform(-half, half);
-        float sy = rng.uniform(-half, half);
-        workloads::RtRay r;
-        r.ray.origin = g.cameraPos;
-        r.ray.dir = geom::normalize(forward + right * sx + up * sy);
-        r.ray.tmin = 0.0f;
-        r.ray.tmax = 1e30f;
-        pool.push_back(r);
-        expected.push_back(scene.closestHit(r.ray));
-    }
+    for (const workloads::RtRay &r : pool)
+        expected.push_back(scene.reference(r));
 }
 
 std::shared_ptr<const RayTenantData>
@@ -275,91 +117,23 @@ RayTenantData::build(workloads::SceneKind kind, size_t pool_size,
     return std::make_shared<const RayTenantData>(kind, pool_size, seed);
 }
 
-RayTenant::RayTenant(std::string name,
-                     std::shared_ptr<const RayTenantData> data)
-    : Tenant(std::move(name)), data_(std::move(data))
-{
-    fatal_if(!data_, "RayTenant '%s': null data", name_.c_str());
-    poolSize_ = data_->pool.size();
-    scene_ = std::make_unique<workloads::RtScene>(data_->kind,
-                                                  data_->seed);
-}
-
-RayTenant::RayTenant(std::string name, size_t pool_size, uint64_t seed,
-                     workloads::SceneKind kind)
-    : RayTenant(std::move(name),
-                RayTenantData::build(kind, pool_size, seed))
-{}
-
 void
 RayTenant::install(ServiceDevice &dev, uint32_t max_batch)
 {
     Binding &b = newBinding(dev);
     mem::GlobalMemory &gmem = dev.memory();
-    scene_->serialize(gmem);
-    // serialize() overwrote the scene's stored layout with this
-    // device's addresses. Earlier devices' specs still read the scene
-    // lazily at sim time, so every device MUST land the scene at the
-    // same addresses — guaranteed when install order matches across
-    // devices, checked here.
-    if (dev.index() == 0) {
-        sphereBase0_ = scene_->sphereBase();
-        instanceBase0_ = scene_->instanceBase();
-    } else {
-        fatal_if(scene_->sphereBase() != sphereBase0_ ||
-                     scene_->instanceBase() != instanceBase0_,
-                 "tenant '%s': scene layout diverges on device %u "
-                 "(install order must match device 0)",
-                 name_.c_str(), dev.index());
-    }
+    const workloads::RtScene &scene = data_->scene;
+    workloads::RtSceneImage image = scene.serialize(gmem);
     for (uint32_t p = 0; p < kStagingParities; ++p) {
-        b.resultBase[p] = gmem.alloc(8ull * max_batch, 128);
-        staged_.emplace_back(max_batch);
+        const workloads::RayLanes &l = addLanes(dev, b, p, max_batch);
         specs_.push_back(std::make_unique<workloads::RtSpec>(
-            gmem, *scene_, staged_.back(), b.resultBase[p],
+            gmem, scene, image, l.rays, l.resultBase,
             workloads::RtOptions{}));
         b.slot[p] = dev.bindPipelineSlot(
             workloads::RayTracingWorkload::makePipeline(
-                data_->kind, workloads::RtOptions{}),
+                scene.kind(), workloads::RtOptions{}),
             specs_.back().get());
     }
-}
-
-void
-RayTenant::writeBatch(ServiceDevice &dev, uint32_t parity,
-                      const std::vector<QueryTicket> &batch)
-{
-    mem::GlobalMemory &gmem = dev.memory();
-    const Binding &b = bindings_[dev.index()];
-    auto &staged = staged_[dev.index() * kStagingParities + parity];
-    for (size_t i = 0; i < batch.size(); ++i) {
-        staged[i] = data_->pool[batch[i].payload];
-        gmem.write<float>(b.resultBase[parity] + 8 * i, -1.0f);
-        gmem.write<uint32_t>(b.resultBase[parity] + 8 * i + 4,
-                             UINT32_MAX);
-    }
-}
-
-size_t
-RayTenant::verifyBatch(const ServiceDevice &dev, uint32_t parity,
-                       const std::vector<QueryTicket> &batch) const
-{
-    // Same tolerance scheme as RayTracingWorkload: traversal order may
-    // tie on equal-t hits, so compare t within a relative epsilon.
-    const mem::GlobalMemory &gmem = dev.memory();
-    const Binding &b = bindings_[dev.index()];
-    size_t bad = 0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-        float t = gmem.read<float>(b.resultBase[parity] + 8 * i);
-        bool hit = t >= 0.0f;
-        const workloads::RtHit &ref = data_->expected[batch[i].payload];
-        if (hit != ref.hit)
-            ++bad;
-        else if (hit &&
-                 std::fabs(t - ref.t) > 1e-3f * std::max(1.0f, ref.t))
-            ++bad;
-    }
-    return bad;
 }
 
 } // namespace tta::service

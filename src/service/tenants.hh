@@ -26,6 +26,11 @@
  * verified pool: arrival k of a tenant carries pool index
  * k % poolSize(). This keeps the query mix deterministic and lets
  * millions of arrivals reuse host references computed once.
+ *
+ * Each kind's input builder (BTreeInputs, RadiusInputs, the RtScene
+ * and its camera rays) and buffer codec (BTreeLanes, RadiusLanes,
+ * RayLanes) live in src/workloads, next to the figure workload that
+ * uses the same ones; a tenant only binds them per (device, parity).
  */
 
 #ifndef TTA_SERVICE_TENANTS_HH
@@ -38,6 +43,7 @@
 
 #include "service/device_group.hh"
 #include "service/queue.hh"
+#include "sim/logging.hh"
 #include "trees/btree.hh"
 #include "trees/pointcloud.hh"
 #include "workloads/btree_workload.hh"
@@ -68,8 +74,7 @@ class Tenant
      * Serialize the tree into @p dev, allocate dual-parity staging
      * buffers for up to @p max_batch queries each, and bind one
      * pipeline slot per parity. Call once per device, in device-index
-     * order, with the same order of tenants on every device (so the
-     * per-device allocation sequences — and thus addresses — match).
+     * order.
      */
     virtual void install(ServiceDevice &dev, uint32_t max_batch) = 0;
 
@@ -94,7 +99,6 @@ class Tenant
     struct Binding
     {
         uint32_t slot[kStagingParities] = {0, 0};
-        uint64_t queryBase[kStagingParities] = {0, 0};
         uint64_t resultBase[kStagingParities] = {0, 0};
     };
 
@@ -106,8 +110,64 @@ class Tenant
     std::vector<Binding> bindings_; //!< indexed by device
 };
 
-/** Shared immutable state of a B-Tree tenant: tree + verified pool. */
-struct BTreeTenantData
+/**
+ * The batch protocol the kinds share: payloads index the data's
+ * verified `pool`, and the kind's buffer codec (workloads::*Lanes, one
+ * per (device, parity)) stages them and checks the results against
+ * `expected`. A kind only implements install(): serialize its tree,
+ * then per parity addLanes() and bind a spec.
+ */
+template <class Data, class Lanes>
+class PoolTenant : public Tenant
+{
+  public:
+    PoolTenant(std::string name, std::shared_ptr<const Data> data)
+        : Tenant(std::move(name)), data_(std::move(data))
+    {
+        fatal_if(!data_, "tenant '%s': null data", name_.c_str());
+        poolSize_ = data_->pool.size();
+    }
+
+    void
+    writeBatch(ServiceDevice &dev, uint32_t parity,
+               const std::vector<QueryTicket> &batch) override
+    {
+        mem::GlobalMemory &gmem = dev.memory();
+        Lanes &l = lanes_[dev.index() * kStagingParities + parity];
+        for (size_t i = 0; i < batch.size(); ++i)
+            l.stage(gmem, i, data_->pool[batch[i].payload]);
+    }
+
+    size_t
+    verifyBatch(const ServiceDevice &dev, uint32_t parity,
+                const std::vector<QueryTicket> &batch) const override
+    {
+        return lanes_[dev.index() * kStagingParities + parity].mismatches(
+            dev.memory(), batch.size(), [&](size_t i) -> const auto & {
+                return data_->expected[batch[i].payload];
+            });
+    }
+
+  protected:
+    /** Allocate parity @p p's lanes in @p dev's memory (in device,
+     *  then parity order) and record their result base in @p b. */
+    Lanes &
+    addLanes(ServiceDevice &dev, Binding &b, uint32_t p, uint32_t max_batch)
+    {
+        lanes_.push_back(Lanes::alloc(dev.memory(), max_batch));
+        b.resultBase[p] = lanes_.back().resultBase;
+        return lanes_.back();
+    }
+
+    std::shared_ptr<const Data> data_;
+    //! deque: a spec may point into its lanes, so they never move
+    std::deque<Lanes> lanes_;
+    std::vector<std::unique_ptr<rta::TraversalSpec>> specs_;
+};
+
+/** Shared immutable state of a B-Tree tenant: a B+Tree and its
+ *  verified pool. */
+struct BTreeTenantData : workloads::BTreeInputs
 {
     BTreeTenantData(size_t n_keys, size_t pool_size, uint64_t seed,
                     double hit_rate);
@@ -115,37 +175,22 @@ struct BTreeTenantData
     static std::shared_ptr<const BTreeTenantData>
     build(size_t n_keys, size_t pool_size, uint64_t seed,
           double hit_rate = 0.5);
-
-    trees::BTree tree;
-    std::vector<float> pool;
-    std::vector<uint8_t> expected;
 };
 
 /** B-Tree point lookups: float key -> found bit. */
-class BTreeTenant : public Tenant
+class BTreeTenant : public PoolTenant<BTreeTenantData, workloads::BTreeLanes>
 {
   public:
-    BTreeTenant(std::string name,
-                std::shared_ptr<const BTreeTenantData> data);
+    using PoolTenant::PoolTenant;
     BTreeTenant(std::string name, size_t n_keys, size_t pool_size,
                 uint64_t seed, double hit_rate = 0.5);
 
     void install(ServiceDevice &dev, uint32_t max_batch) override;
-    void writeBatch(ServiceDevice &dev, uint32_t parity,
-                    const std::vector<QueryTicket> &batch) override;
-    size_t verifyBatch(const ServiceDevice &dev, uint32_t parity,
-                       const std::vector<QueryTicket> &batch)
-        const override;
-
-  private:
-    std::shared_ptr<const BTreeTenantData> data_;
-    //! one spec per (device, parity): index device * kStagingParities
-    //! + parity
-    std::vector<std::unique_ptr<workloads::BTreeSpec>> specs_;
 };
 
-/** Shared immutable state of a radius tenant: cloud, BVH, pool. */
-struct RadiusTenantData
+/** Shared immutable state of a radius tenant: cloud, index, verified
+ *  pool. */
+struct RadiusTenantData : workloads::RadiusInputs
 {
     RadiusTenantData(size_t n_points, size_t pool_size, float radius,
                      uint64_t seed);
@@ -153,41 +198,23 @@ struct RadiusTenantData
     static std::shared_ptr<const RadiusTenantData>
     build(size_t n_points, size_t pool_size, float radius,
           uint64_t seed);
-
-    trees::PointCloud cloud;
-    //! built in the ctor body, after `cloud` has its final address
-    //! (the index keeps a pointer to its cloud)
-    std::unique_ptr<trees::RadiusSearchIndex> index;
-    std::vector<geom::Vec3> pool;
-    std::vector<uint32_t> expected;
 };
 
 /** RTNN-style fixed-radius neighbor counting over a point cloud. */
-class RadiusTenant : public Tenant
+class RadiusTenant
+    : public PoolTenant<RadiusTenantData, workloads::RadiusLanes>
 {
   public:
-    RadiusTenant(std::string name,
-                 std::shared_ptr<const RadiusTenantData> data);
+    using PoolTenant::PoolTenant;
     RadiusTenant(std::string name, size_t n_points, size_t pool_size,
                  float radius, uint64_t seed);
 
     void install(ServiceDevice &dev, uint32_t max_batch) override;
-    void writeBatch(ServiceDevice &dev, uint32_t parity,
-                    const std::vector<QueryTicket> &batch) override;
-    size_t verifyBatch(const ServiceDevice &dev, uint32_t parity,
-                       const std::vector<QueryTicket> &batch)
-        const override;
-
-  private:
-    std::shared_ptr<const RadiusTenantData> data_;
-    std::vector<std::unique_ptr<workloads::RtnnSpec>> specs_;
 };
 
-/** Shared immutable state of a ray tenant: scene recipe + verified
- *  pool. The RtScene itself is NOT shared — serialize() stores the
- *  device layout in the scene object, so each tenant instance rebuilds
- *  its own scene from (kind, seed); only the expensive reference hits
- *  are computed once. */
+/** Shared immutable state of a ray tenant: the scene, a pool of random
+ *  camera rays and their reference hits. Every tenant made from it
+ *  serializes this one scene into each device it installs on. */
 struct RayTenantData
 {
     RayTenantData(workloads::SceneKind kind, size_t pool_size,
@@ -196,43 +223,22 @@ struct RayTenantData
     static std::shared_ptr<const RayTenantData>
     build(workloads::SceneKind kind, size_t pool_size, uint64_t seed);
 
-    workloads::SceneKind kind;
-    uint64_t seed;
+    workloads::RtScene scene;
     std::vector<workloads::RtRay> pool;
     std::vector<workloads::RtHit> expected;
 };
 
 /** Closest-hit rays into a procedural scene. */
-class RayTenant : public Tenant
+class RayTenant : public PoolTenant<RayTenantData, workloads::RayLanes>
 {
   public:
-    RayTenant(std::string name,
-              std::shared_ptr<const RayTenantData> data);
-    RayTenant(std::string name, size_t pool_size, uint64_t seed,
-              workloads::SceneKind kind = workloads::SceneKind::CornellPt);
+    using PoolTenant::PoolTenant;
 
     void install(ServiceDevice &dev, uint32_t max_batch) override;
-    void writeBatch(ServiceDevice &dev, uint32_t parity,
-                    const std::vector<QueryTicket> &batch) override;
-    size_t verifyBatch(const ServiceDevice &dev, uint32_t parity,
-                       const std::vector<QueryTicket> &batch)
-        const override;
     size_t verifyTolerance(size_t batch_size) const override
     {
-        return batch_size / 256 + 2;
+        return workloads::RayLanes::tolerance(batch_size);
     }
-
-  private:
-    std::shared_ptr<const RayTenantData> data_;
-    std::unique_ptr<workloads::RtScene> scene_;
-    //! spec reads lanes from here; one buffer per (device, parity).
-    //! deque: specs keep pointers, so elements must never move.
-    std::deque<std::vector<workloads::RtRay>> staged_;
-    std::vector<std::unique_ptr<workloads::RtSpec>> specs_;
-    //! device-0 layout fingerprint; later devices must reproduce it
-    //! (serialize() overwrites the scene's stored layout each time)
-    uint64_t sphereBase0_ = 0;
-    uint64_t instanceBase0_ = 0;
 };
 
 } // namespace tta::service

@@ -110,6 +110,15 @@ class BTree
 {
   public:
     /**
+     * Levels a walk may descend, on the host (search, searchSerialized)
+     * or the device (BTreeSpec), before the image is taken as corrupt
+     * or cyclic: a zeroed record reads as an inner node whose children
+     * start at address 0, so a zeroed or cyclic image would otherwise
+     * never end. Every bulk-loaded tree is far shallower.
+     */
+    static constexpr uint32_t kMaxDepth = 64;
+
+    /**
      * Bulk-load a tree.
      * @param kind  variant (fill factor + key placement).
      * @param keys  key set; will be sorted and deduplicated.
@@ -138,8 +147,7 @@ class BTree
 
     /**
      * Reference search against the *serialized* image (for tests).
-     * fatal() on a walk deeper than 64 levels, which only a corrupt or
-     * cyclic image gives (a zeroed record's child 0 is address 0).
+     * fatal() on a walk deeper than kMaxDepth levels.
      */
     static BTreeQueryResult searchSerialized(const mem::GlobalMemory &gmem,
                                              uint64_t root_addr,

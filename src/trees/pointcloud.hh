@@ -50,18 +50,9 @@ struct PointCloud
 class RadiusSearchIndex
 {
   public:
+    /** Keeps a pointer to @p cloud, which must outlive the index at
+     *  the same address. */
     RadiusSearchIndex(const PointCloud &cloud, float radius);
-
-    /**
-     * Rebinding copy: reuse another index's built BVH but reference
-     * @p cloud instead of the original's cloud pointer. For cloning a
-     * workload whose index points at its own cloud member — the copy
-     * must not dangle into (or alias) the source object.
-     */
-    RadiusSearchIndex(const RadiusSearchIndex &other,
-                      const PointCloud &cloud)
-        : cloud_(&cloud), radius_(other.radius_), bvh_(other.bvh_)
-    {}
 
     const Bvh &bvh() const { return bvh_; }
     float radius() const { return radius_; }

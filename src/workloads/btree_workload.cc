@@ -41,6 +41,11 @@ rta::NodeOutcome
 BTreeSpec::processNode(rta::RayState &ray, rta::NodeRef ref)
 {
     using L = BTreeNodeLayout;
+    // One node per level: the RTA counts this node in nodesVisited.
+    fatal_if(ray.nodesVisited > trees::BTree::kMaxDepth,
+             "B-Tree walk deeper than %u levels at node 0x%llx: "
+             "corrupt or cyclic image",
+             trees::BTree::kMaxDepth, static_cast<unsigned long long>(ref));
     uint32_t flags = gmem_->read<uint32_t>(ref + L::kOffFlags);
     bool leaf = flags & L::kLeafFlag;
     bool router = flags & L::kRouterFlag;
@@ -96,34 +101,46 @@ evenKeys(size_t n)
 
 } // namespace
 
-BTreeWorkload::BTreeWorkload(trees::BTreeKind kind, size_t n_keys,
-                             size_t n_queries, uint64_t seed,
-                             double hit_rate)
-    : tree_(kind, evenKeys(n_keys))
+BTreeInputs::BTreeInputs(trees::BTreeKind kind, size_t n_keys,
+                         size_t n_queries, uint64_t seed, double hit_rate)
+    : tree(kind, evenKeys(n_keys))
 {
     sim::Rng rng(seed);
-    queries_.resize(n_queries);
-    expected_.resize(n_queries);
+    pool.resize(n_queries);
+    expected.resize(n_queries);
     for (size_t q = 0; q < n_queries; ++q) {
         bool hit = rng.nextDouble() < hit_rate;
         const uint64_t i = rng.nextBounded(n_keys);
         // A hit is evenKeys()[i]; a miss is the odd number below it.
-        queries_[q] = hit ? 2.0f * static_cast<float>(i + 1)
-                          : 2.0f * static_cast<float>(i) + 1.0f;
-        expected_[q] = tree_.search(queries_[q]).found ? 1 : 0;
+        pool[q] = hit ? 2.0f * static_cast<float>(i + 1)
+                      : 2.0f * static_cast<float>(i) + 1.0f;
+        expected[q] = tree.search(pool[q]).found ? 1 : 0;
     }
+}
+
+BTreeLanes
+BTreeLanes::alloc(mem::GlobalMemory &gmem, size_t n)
+{
+    BTreeLanes lanes;
+    lanes.queryBase = gmem.alloc(n * 4, 128);
+    lanes.resultBase = gmem.alloc(n * 4, 128);
+    return lanes;
+}
+
+BTreeWorkload::BTreeWorkload(trees::BTreeKind kind, size_t n_keys,
+                             size_t n_queries, uint64_t seed,
+                             double hit_rate)
+    : in_(kind, n_keys, n_queries, seed, hit_rate)
+{
 }
 
 void
 BTreeWorkload::setup(mem::GlobalMemory &gmem)
 {
-    rootAddr_ = tree_.serialize(gmem);
-    queryBase_ = gmem.alloc(queries_.size() * 4, 128);
-    resultBase_ = gmem.alloc(queries_.size() * 4, 128);
-    for (size_t q = 0; q < queries_.size(); ++q) {
-        gmem.write<float>(queryBase_ + 4 * q, queries_[q]);
-        gmem.write<uint32_t>(resultBase_ + 4 * q, 0xdeadbeef);
-    }
+    rootAddr_ = in_.tree.serialize(gmem);
+    lanes_ = BTreeLanes::alloc(gmem, in_.pool.size());
+    for (size_t q = 0; q < in_.pool.size(); ++q)
+        lanes_.stage(gmem, q, in_.pool[q]);
 }
 
 gpu::KernelProgram
@@ -226,11 +243,11 @@ BTreeWorkload::runBaseline(const sim::Config &cfg, sim::StatRegistry &stats)
     gpu::Gpu device(cfg, stats);
     setup(device.memory());
     gpu::KernelProgram kernel = buildBaselineKernel();
-    std::vector<uint32_t> params = {static_cast<uint32_t>(queryBase_),
-                                    static_cast<uint32_t>(resultBase_),
-                                    static_cast<uint32_t>(rootAddr_)};
-    sim::Cycle cycles =
-        device.runKernel(kernel, queries_.size(), params);
+    std::vector<uint32_t> params = {
+        static_cast<uint32_t>(lanes_.queryBase),
+        static_cast<uint32_t>(lanes_.resultBase),
+        static_cast<uint32_t>(rootAddr_)};
+    sim::Cycle cycles = device.runKernel(kernel, numQueries(), params);
     captureResults(device.memory());
     size_t bad = verify(device.memory());
     panic_if(bad != 0, "baseline B-Tree kernel produced %zu mismatches",
@@ -244,10 +261,11 @@ BTreeWorkload::runAccelerated(const sim::Config &cfg,
 {
     api::TtaDevice device(cfg, stats);
     setup(device.memory());
-    BTreeSpec spec(device.memory(), rootAddr_, queryBase_, resultBase_);
+    BTreeSpec spec(device.memory(), rootAddr_, lanes_.queryBase,
+                   lanes_.resultBase);
     api::TtaPipeline pipeline = makePipeline();
     device.bindPipeline(pipeline, &spec);
-    sim::Cycle cycles = device.cmdTraverseTree(queries_.size());
+    sim::Cycle cycles = device.cmdTraverseTree(numQueries());
     captureResults(device.memory());
     size_t bad = verify(device.memory());
     panic_if(bad != 0, "accelerated B-Tree run produced %zu mismatches",
@@ -259,21 +277,16 @@ BTreeWorkload::runAccelerated(const sim::Config &cfg,
 void
 BTreeWorkload::captureResults(const mem::GlobalMemory &gmem)
 {
-    deviceResults_.resize(queries_.size());
-    for (size_t q = 0; q < queries_.size(); ++q)
-        deviceResults_[q] = gmem.read<uint32_t>(resultBase_ + 4 * q);
+    deviceResults_.resize(numQueries());
+    for (size_t q = 0; q < numQueries(); ++q)
+        deviceResults_[q] = lanes_.result(gmem, q);
 }
 
 size_t
 BTreeWorkload::verify(const mem::GlobalMemory &gmem) const
 {
-    size_t mismatches = 0;
-    for (size_t q = 0; q < queries_.size(); ++q) {
-        uint32_t got = gmem.read<uint32_t>(resultBase_ + 4 * q);
-        if (got != expected_[q])
-            ++mismatches;
-    }
-    return mismatches;
+    return lanes_.mismatches(gmem, numQueries(),
+                             [this](size_t q) { return in_.expected[q]; });
 }
 
 } // namespace tta::workloads

@@ -3,12 +3,16 @@
  * B-Tree / B*Tree / B+Tree query workload (Section IV-A).
  *
  * The paper queries 1M random keys against trees of 10k-4M keys, one
- * query per thread, while-loop traversal. This workload provides:
+ * query per thread, while-loop traversal. This file holds the kind's
+ * pieces that the figure workload and the service's B-Tree tenant
+ * share:
  *
- *  - the serialized tree + query/result buffers in simulated memory,
- *  - the baseline "CUDA" kernel (Algorithm 1 as a divergent SIMT loop),
+ *  - BTreeInputs: the tree, the seeded queries and their host
+ *    reference results,
+ *  - BTreeLanes: the query/result buffer layout in simulated memory,
+ *    lane staging and the result check,
  *  - the TraversalSpec + Listing-1 pipeline for RTA-class hardware,
- *  - result verification against the host reference search.
+ *  - the baseline "CUDA" kernel (Algorithm 1 as a divergent SIMT loop).
  */
 
 #ifndef TTA_WORKLOADS_BTREE_WORKLOAD_HH
@@ -57,6 +61,67 @@ class BTreeSpec : public rta::TraversalSpec
     ttaplus::Program leafProg_;
 };
 
+/**
+ * Inputs of B-Tree point lookups: a tree over the keys 2, 4, ..., 2n
+ * (even integers, exact as floats up to 2^24), a pool of seeded
+ * queries, and each query's host reference result (1 = found). A
+ * fraction @p hit_rate of the queries are keys; the rest are the odd
+ * number just below a key, which is guaranteed absent. A figure run
+ * launches the whole pool once; a tenant's arrival k carries pool entry
+ * k % pool.size().
+ */
+struct BTreeInputs
+{
+    BTreeInputs(trees::BTreeKind kind, size_t n_keys, size_t n_queries,
+                uint64_t seed, double hit_rate);
+
+    trees::BTree tree;
+    std::vector<float> pool;
+    std::vector<uint8_t> expected;
+};
+
+/**
+ * Query and result buffers of a B-Tree launch: lane i reads a 4-byte
+ * float key at queryBase + 4i and writes a 4-byte found flag at
+ * resultBase + 4i.
+ */
+struct BTreeLanes
+{
+    uint64_t queryBase = 0;
+    uint64_t resultBase = 0;
+
+    /** Allocate the query buffer, then the result buffer, for @p n
+     *  lanes. */
+    static BTreeLanes alloc(mem::GlobalMemory &gmem, size_t n);
+
+    /** Write lane @p i's key, and pre-fill its result with a value no
+     *  launch writes, so a lane left unwritten reads as a mismatch. */
+    void
+    stage(mem::GlobalMemory &gmem, size_t i, float key) const
+    {
+        gmem.write<float>(queryBase + 4 * i, key);
+        gmem.write<uint32_t>(resultBase + 4 * i, 0xdeadbeefu);
+    }
+
+    uint32_t
+    result(const mem::GlobalMemory &gmem, size_t i) const
+    {
+        return gmem.read<uint32_t>(resultBase + 4 * i);
+    }
+
+    /** Lanes among [0, @p n) whose result is not @p expected(i). */
+    template <class Expected>
+    size_t
+    mismatches(const mem::GlobalMemory &gmem, size_t n,
+               Expected &&expected) const
+    {
+        size_t bad = 0;
+        for (size_t i = 0; i < n; ++i)
+            bad += result(gmem, i) != expected(i);
+        return bad;
+    }
+};
+
 class BTreeWorkload
 {
   public:
@@ -70,17 +135,8 @@ class BTreeWorkload
     BTreeWorkload(trees::BTreeKind kind, size_t n_keys, size_t n_queries,
                   uint64_t seed = 1, double hit_rate = 0.5);
 
-    /**
-     * Copy: shares the immutable tree and copies the query/reference
-     * vectors, so the copy can setup()/run against its own device while
-     * the source (e.g. a bench::WorkloadCache prototype) stays untouched
-     * — a run on a copy is bit-identical to a run on a freshly built
-     * workload.
-     */
-    BTreeWorkload(const BTreeWorkload &other) = default;
-    BTreeWorkload &operator=(const BTreeWorkload &) = delete;
-
-    /** Serialize tree + buffers into a device's memory. */
+    /** Serialize the tree and stage every query into a device's
+     *  memory. */
     void setup(mem::GlobalMemory &gmem);
 
     /** Baseline: run the CUDA-style kernel on the SIMT cores. */
@@ -95,9 +151,9 @@ class BTreeWorkload
      *  @return number of mismatches (0 = pass). */
     size_t verify(const mem::GlobalMemory &gmem) const;
 
-    const trees::BTree &tree() const { return tree_; }
-    size_t numQueries() const { return queries_.size(); }
-    const std::vector<float> &queries() const { return queries_; }
+    const trees::BTree &tree() const { return in_.tree; }
+    size_t numQueries() const { return in_.pool.size(); }
+    const std::vector<float> &queries() const { return in_.pool; }
 
     /**
      * Device-computed results (1 = key found) captured from simulated
@@ -118,13 +174,10 @@ class BTreeWorkload
   private:
     void captureResults(const mem::GlobalMemory &gmem);
 
-    trees::BTree tree_;
-    std::vector<float> queries_;
-    std::vector<uint8_t> expected_;
+    BTreeInputs in_;
     std::vector<uint32_t> deviceResults_;
     uint64_t rootAddr_ = 0;
-    uint64_t queryBase_ = 0;
-    uint64_t resultBase_ = 0;
+    BTreeLanes lanes_;
 };
 
 } // namespace tta::workloads

@@ -112,31 +112,31 @@ RtScene::RtScene(SceneKind kind, uint64_t seed)
     }
 }
 
-void
-RtScene::serialize(mem::GlobalMemory &gmem)
+RtSceneImage
+RtScene::serialize(mem::GlobalMemory &gmem) const
 {
-    meshes_.clear();
+    RtSceneImage img;
     if (geometry_.isSphereScene()) {
-        sphereBase_ =
+        img.sphereBase =
             gmem.alloc(geometry_.spheres.size() * kSphereStride, 128);
         for (size_t i = 0; i < geometry_.spheres.size(); ++i) {
-            uint64_t addr = sphereBase_ + i * kSphereStride;
+            uint64_t addr = img.sphereBase + i * kSphereStride;
             gmem.write<float>(addr + 0, geometry_.spheres[i].first.x);
             gmem.write<float>(addr + 4, geometry_.spheres[i].first.y);
             gmem.write<float>(addr + 8, geometry_.spheres[i].first.z);
             gmem.write<float>(addr + 12, geometry_.spheres[i].second);
         }
-        sphereBvh_ = meshBvhs_[0].serialize(gmem);
-        return;
+        img.root = meshBvhs_[0].serialize(gmem).root.raw;
+        return img;
     }
 
+    std::vector<uint32_t> blas_roots;
     for (size_t m = 0; m < geometry_.meshes.size(); ++m) {
-        MeshImage img;
-        img.bvh = meshBvhs_[m].serialize(gmem);
+        blas_roots.push_back(meshBvhs_[m].serialize(gmem).root.raw);
         const auto &tris = geometry_.meshes[m].triangles;
-        img.triBase = gmem.alloc(tris.size() * kTriStride, 128);
+        uint64_t tri_base = gmem.alloc(tris.size() * kTriStride, 128);
         for (size_t t = 0; t < tris.size(); ++t) {
-            uint64_t addr = img.triBase + t * kTriStride;
+            uint64_t addr = tri_base + t * kTriStride;
             const Vec3 *verts[3] = {&tris[t].v0, &tris[t].v1, &tris[t].v2};
             for (int v = 0; v < 3; ++v) {
                 gmem.write<float>(addr + 12 * v + 0, verts[v]->x);
@@ -144,33 +144,25 @@ RtScene::serialize(mem::GlobalMemory &gmem)
                 gmem.write<float>(addr + 12 * v + 8, verts[v]->z);
             }
         }
-        meshes_.push_back(img);
+        img.triBase.push_back(tri_base);
     }
 
-    if (geometry_.twoLevel()) {
-        instanceBase_ = gmem.alloc(
-            geometry_.instances.size() * kInstanceStride, 128);
-        for (size_t i = 0; i < geometry_.instances.size(); ++i) {
-            const auto &inst = geometry_.instances[i];
-            uint64_t addr = instanceBase_ + i * kInstanceStride;
-            for (int k = 0; k < 12; ++k)
-                gmem.write<float>(addr + 4 * k, inst.worldToObject[k]);
-            gmem.write<uint32_t>(addr + 48,
-                                 meshes_[inst.mesh].bvh.root.raw);
-            gmem.write<uint32_t>(addr + 52, inst.mesh);
-        }
-        tlasImage_ = tlas_->serialize(gmem);
+    if (!geometry_.twoLevel()) {
+        img.root = blas_roots[0];
+        return img;
     }
-}
-
-rta::NodeRef
-RtScene::rootRef() const
-{
-    if (geometry_.isSphereScene())
-        return sphereBvh_.root.raw;
-    if (geometry_.twoLevel())
-        return tlasImage_.root.raw;
-    return meshes_[0].bvh.root.raw;
+    img.instanceBase =
+        gmem.alloc(geometry_.instances.size() * kInstanceStride, 128);
+    for (size_t i = 0; i < geometry_.instances.size(); ++i) {
+        const auto &inst = geometry_.instances[i];
+        uint64_t addr = img.instanceBase + i * kInstanceStride;
+        for (int k = 0; k < 12; ++k)
+            gmem.write<float>(addr + 4 * k, inst.worldToObject[k]);
+        gmem.write<uint32_t>(addr + 48, blas_roots[inst.mesh]);
+        gmem.write<uint32_t>(addr + 52, inst.mesh);
+    }
+    img.root = tlas_->serialize(gmem).root.raw;
+    return img;
 }
 
 bool
@@ -229,10 +221,47 @@ RtScene::closestHit(const Ray &ray) const
     return best;
 }
 
-bool
-RtScene::anyHit(const Ray &ray) const
+RtHit
+RtScene::reference(const RtRay &r) const
 {
-    return closestHit(ray).hit;
+    if (!r.anyHit)
+        return closestHit(r.ray);
+    RtHit h;
+    h.hit = closestHit(r.ray).hit;
+    return h;
+}
+
+// ---------------------------------------------------------------------------
+// PinholeCamera, RayLanes
+// ---------------------------------------------------------------------------
+
+PinholeCamera::PinholeCamera(const SceneGeometry &g)
+    : origin_(g.cameraPos),
+      forward_(geom::normalize(g.cameraTarget - g.cameraPos)),
+      right_(geom::normalize(geom::cross(forward_, {0, 1, 0}))),
+      up_(geom::cross(right_, forward_)),
+      halfHeight_(std::tan(g.fovDegrees * 3.14159265f / 360.0f))
+{
+}
+
+RtRay
+PinholeCamera::ray(float sx, float sy) const
+{
+    RtRay r;
+    r.ray.origin = origin_;
+    r.ray.dir = geom::normalize(forward_ + right_ * sx + up_ * sy);
+    r.ray.tmin = 0.0f;
+    r.ray.tmax = 1e30f;
+    return r;
+}
+
+RayLanes
+RayLanes::alloc(mem::GlobalMemory &gmem, size_t n)
+{
+    RayLanes lanes;
+    lanes.rays.resize(n);
+    lanes.resultBase = gmem.alloc(n * 8, 128);
+    return lanes;
 }
 
 // ---------------------------------------------------------------------------
@@ -240,9 +269,9 @@ RtScene::anyHit(const Ray &ray) const
 // ---------------------------------------------------------------------------
 
 RtSpec::RtSpec(mem::GlobalMemory &gmem, const RtScene &scene,
-               const std::vector<RtRay> &rays, uint64_t result_base,
-               RtOptions options)
-    : gmem_(&gmem), scene_(&scene), rays_(&rays),
+               RtSceneImage image, const std::vector<RtRay> &rays,
+               uint64_t result_base, RtOptions options)
+    : gmem_(&gmem), scene_(&scene), image_(std::move(image)), rays_(&rays),
       resultBase_(result_base), options_(options),
       innerProg_(ttaplus::programs::rayBoxInner()),
       leafProg_(scene.geometry().isSphereScene()
@@ -263,7 +292,7 @@ RtSpec::initRay(rta::RayState &ray, uint32_t lane_operand)
     ray.hitCount = 0;
     ray.inBlas = !scene_->geometry().twoLevel();
     ray.meshId = 0;
-    ray.stack.push_back(scene_->rootRef());
+    ray.stack.push_back(image_.root);
 }
 
 void
@@ -274,7 +303,7 @@ RtSpec::fetchLines(const rta::RayState &ray, rta::NodeRef ref,
         return;
     if (ref & RtScene::kEnterInstanceBit) {
         uint32_t inst = static_cast<uint32_t>(ref);
-        coverLines(scene_->instanceBase() +
+        coverLines(image_.instanceBase +
                        static_cast<uint64_t>(inst) * kInstanceStride,
                    kInstanceStride, lines);
         return;
@@ -294,11 +323,11 @@ RtSpec::fetchLines(const rta::RayState &ray, rta::NodeRef ref,
         uint32_t id = gmem_->read<uint32_t>(
             leaf + BvhLeafLayout::kOffPrims + 4 * i);
         if (spheres) {
-            coverLines(scene_->sphereBase() +
+            coverLines(image_.sphereBase +
                            static_cast<uint64_t>(id) * kSphereStride,
                        kSphereStride, lines);
         } else {
-            coverLines(scene_->meshImages()[ray.meshId].triBase +
+            coverLines(image_.triBase[ray.meshId] +
                            static_cast<uint64_t>(id) * kTriStride,
                        kTriStride, lines);
         }
@@ -310,7 +339,7 @@ RtSpec::processTriangleLeaf(rta::RayState &ray, uint64_t leaf,
                             rta::NodeOutcome &out)
 {
     uint32_t count = gmem_->read<uint32_t>(leaf + BvhLeafLayout::kOffCount);
-    uint64_t tri_base = scene_->meshImages()[ray.meshId].triBase;
+    uint64_t tri_base = image_.triBase[ray.meshId];
     const auto &alpha = scene_->geometry().meshes[ray.meshId].alpha;
     bool needs_shader = false;
     for (uint32_t i = 0; i < count; ++i) {
@@ -358,7 +387,7 @@ RtSpec::processSphereLeaf(rta::RayState &ray, uint64_t leaf,
     for (uint32_t i = 0; i < count; ++i) {
         uint32_t id = gmem_->read<uint32_t>(
             leaf + BvhLeafLayout::kOffPrims + 4 * i);
-        uint64_t addr = scene_->sphereBase() +
+        uint64_t addr = image_.sphereBase +
             static_cast<uint64_t>(id) * kSphereStride;
         Vec3 center = {gmem_->read<float>(addr + 0),
                        gmem_->read<float>(addr + 4),
@@ -401,7 +430,7 @@ RtSpec::processNode(rta::RayState &ray, rta::NodeRef ref)
     }
     if (ref & RtScene::kEnterInstanceBit) {
         uint32_t inst = static_cast<uint32_t>(ref);
-        uint64_t addr = scene_->instanceBase() +
+        uint64_t addr = image_.instanceBase +
             static_cast<uint64_t>(inst) * kInstanceStride;
         float w2o[12];
         for (int k = 0; k < 12; ++k)
@@ -514,15 +543,8 @@ RayTracingWorkload::RayTracingWorkload(SceneKind kind, uint32_t width,
     while (!wave.empty()) {
         std::vector<RtHit> hits;
         hits.reserve(wave.size());
-        for (const auto &r : wave) {
-            if (r.anyHit) {
-                RtHit h;
-                h.hit = scene_->anyHit(r.ray);
-                hits.push_back(h);
-            } else {
-                hits.push_back(scene_->closestHit(r.ray));
-            }
-        }
+        for (const auto &r : wave)
+            hits.push_back(scene_->reference(r));
         waves_.push_back(wave);
         waveHits_.push_back(hits);
         wave = nextWave(wave_idx, wave, hits);
@@ -570,11 +592,8 @@ RayTracingWorkload::totalRays() const
 std::vector<RtRay>
 RayTracingWorkload::primaryRays() const
 {
-    const auto &g = scene_->geometry();
-    Vec3 forward = geom::normalize(g.cameraTarget - g.cameraPos);
-    Vec3 right = geom::normalize(geom::cross(forward, {0, 1, 0}));
-    Vec3 up = geom::cross(right, forward);
-    float half_h = std::tan(g.fovDegrees * 3.14159265f / 360.0f);
+    PinholeCamera camera(scene_->geometry());
+    float half_h = camera.halfHeight();
     float half_w = half_h * width_ / height_;
 
     std::vector<RtRay> rays;
@@ -583,14 +602,25 @@ RayTracingWorkload::primaryRays() const
         for (uint32_t x = 0; x < width_; ++x) {
             float sx = (2.0f * (x + 0.5f) / width_ - 1.0f) * half_w;
             float sy = (1.0f - 2.0f * (y + 0.5f) / height_) * half_h;
-            RtRay r;
-            r.ray.origin = g.cameraPos;
-            r.ray.dir =
-                geom::normalize(forward + right * sx + up * sy);
-            r.ray.tmin = 0.0f;
-            r.ray.tmax = 1e30f;
-            rays.push_back(r);
+            rays.push_back(camera.ray(sx, sy));
         }
+    }
+    return rays;
+}
+
+std::vector<RtRay>
+RayTracingWorkload::randomPrimaryRays(const RtScene &scene, size_t n,
+                                      uint64_t seed)
+{
+    PinholeCamera camera(scene.geometry());
+    float half = camera.halfHeight();
+    sim::Rng rng(seed ^ 0x5bd1e995ull);
+    std::vector<RtRay> rays;
+    rays.reserve(n);
+    for (size_t q = 0; q < n; ++q) {
+        float sx = rng.uniform(-half, half);
+        float sy = rng.uniform(-half, half);
+        rays.push_back(camera.ray(sx, sy));
     }
     return rays;
 }
@@ -729,33 +759,24 @@ RayTracingWorkload::runAccelerated(const sim::Config &cfg,
                                    RtOptions options)
 {
     api::TtaDevice device(cfg, stats);
-    scene_->serialize(device.memory());
+    mem::GlobalMemory &gmem = device.memory();
+    RtSceneImage image = scene_->serialize(gmem);
     api::TtaPipeline pipeline = makePipeline(kind_, options);
 
     sim::Cycle cycles = 0;
     for (size_t w = 0; w < waves_.size(); ++w) {
         const auto &wave = waves_[w];
-        uint64_t result_base = device.memory().alloc(wave.size() * 8, 128);
-        RtSpec spec(device.memory(), *scene_, wave, result_base, options);
+        RayLanes lanes = RayLanes::alloc(gmem, wave.size());
+        for (size_t i = 0; i < wave.size(); ++i)
+            lanes.stage(gmem, i, wave[i]);
+        RtSpec spec(gmem, *scene_, image, lanes.rays, lanes.resultBase,
+                    options);
         device.bindPipeline(pipeline, &spec);
         cycles += device.cmdTraverseTree(wave.size());
 
-        // Verify against the host reference (tolerating traversal-order
-        // ties on equal-t hits).
-        size_t bad = 0;
-        for (size_t i = 0; i < wave.size(); ++i) {
-            float t = device.memory().read<float>(result_base + 8 * i);
-            bool hit = t >= 0.0f;
-            const RtHit &ref = waveHits_[w][i];
-            if (hit != ref.hit) {
-                ++bad;
-            } else if (hit && !wave[i].anyHit &&
-                       std::fabs(t - ref.t) >
-                           1e-3f * std::max(1.0f, ref.t)) {
-                ++bad;
-            }
-        }
-        panic_if(bad > wave.size() / 256 + 2,
+        size_t bad = lanes.mismatches(
+            gmem, wave.size(), [&](size_t i) { return waveHits_[w][i]; });
+        panic_if(bad > RayLanes::tolerance(wave.size()),
                  "%s wave %zu: %zu mismatches out of %zu rays",
                  sceneName(kind_), w, bad, wave.size());
     }
@@ -771,7 +792,7 @@ RayTracingWorkload::runBaselineCores(const sim::Config &cfg,
              scene_->geometry().twoLevel(),
              "the SIMT-core path requires a single-level triangle scene");
     gpu::Gpu device(cfg, stats);
-    scene_->serialize(device.memory());
+    RtSceneImage image = scene_->serialize(device.memory());
 
     const auto &wave = waves_[0];
     uint64_t ray_base = device.memory().alloc(wave.size() * kRayStride, 128);
@@ -793,8 +814,8 @@ RayTracingWorkload::runBaselineCores(const sim::Config &cfg,
     gpu::KernelProgram kernel = buildBaselineKernel();
     std::vector<uint32_t> params = {
         static_cast<uint32_t>(ray_base),
-        static_cast<uint32_t>(scene_->rootRef()),
-        static_cast<uint32_t>(scene_->meshImages()[0].triBase),
+        static_cast<uint32_t>(image.root),
+        static_cast<uint32_t>(image.triBase[0]),
         static_cast<uint32_t>(stack_base),
         static_cast<uint32_t>(result_base)};
     sim::Cycle cycles = device.runKernel(kernel, wave.size(), params);

@@ -22,11 +22,20 @@
  *
  * A divergent SIMT-core path tracer kernel provides the "GPU without
  * RTA" datapoint for Fig 1 / Fig 6 (single-level triangle scenes).
+ *
+ * The figure workload and the service's ray tenant share the kind's
+ * pieces: one immutable RtScene (serialize() returns where it placed
+ * the scene, so one scene serves any number of devices), the
+ * PinholeCamera both derive primary rays from, the reference rule
+ * RtScene::reference, and RayLanes, the result layout and tie-tolerant
+ * check.
  */
 
 #ifndef TTA_WORKLOADS_RAYTRACING_WORKLOAD_HH
 #define TTA_WORKLOADS_RAYTRACING_WORKLOAD_HH
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -61,63 +70,128 @@ struct RtHit
     uint32_t instance = UINT32_MAX;
 };
 
-/** Serialized scene image + host reference intersector. */
+/** Where RtScene::serialize placed a scene in one device's memory. */
+struct RtSceneImage
+{
+    rta::NodeRef root = 0;          //!< TLAS, or the sole BLAS
+    std::vector<uint64_t> triBase;  //!< per mesh: triangle records
+    uint64_t sphereBase = 0;        //!< sphere records (sphere scenes)
+    uint64_t instanceBase = 0;      //!< instance records (two-level)
+};
+
+/** Host scene: BVHs, reference intersector and device serializer.
+ *  Immutable once built, so one scene serves every device. */
 class RtScene
 {
   public:
     RtScene(SceneKind kind, uint64_t seed);
 
     /** Serialize all BLASes, primitives, TLAS and instance records. */
-    void serialize(mem::GlobalMemory &gmem);
+    RtSceneImage serialize(mem::GlobalMemory &gmem) const;
 
     const SceneGeometry &geometry() const { return geometry_; }
     SceneKind kind() const { return kind_; }
 
-    /** Root reference a traversal starts from (TLAS or sole BLAS). */
-    rta::NodeRef rootRef() const;
-
     RtHit closestHit(const geom::Ray &ray) const;
-    bool anyHit(const geom::Ray &ray) const;
+    /** The host reference for @p r: any-hit rays record only whether
+     *  they hit, closest-hit rays the hit itself. */
+    RtHit reference(const RtRay &r) const;
 
     /** Deterministic alpha test shared by reference and spec. */
     static bool alphaPass(uint32_t mesh, uint32_t prim);
 
-    // --- Serialized layout (valid after serialize()) ---------------------
-    struct MeshImage
-    {
-        trees::SerializedBvh bvh;
-        uint64_t triBase = 0;
-    };
-    const std::vector<MeshImage> &meshImages() const { return meshes_; }
-    uint64_t sphereBase() const { return sphereBase_; }
-    uint64_t instanceBase() const { return instanceBase_; }
-    const trees::Bvh *tlas() const { return tlas_.get(); }
-
     /** Node-reference encoding helpers (see RtSpec). */
     static constexpr uint64_t kEnterInstanceBit = 1ull << 33;
     static constexpr uint64_t kRestoreBit = 1ull << 34;
-
-    const trees::Bvh &meshBvh(uint32_t m) const { return meshBvhs_[m]; }
 
   private:
     SceneKind kind_;
     SceneGeometry geometry_;
     std::vector<trees::Bvh> meshBvhs_;
     std::unique_ptr<trees::Bvh> tlas_;
-    std::vector<MeshImage> meshes_;
-    trees::SerializedBvh tlasImage_;
-    uint64_t sphereBase_ = 0;
-    uint64_t instanceBase_ = 0;
-    trees::SerializedBvh sphereBvh_;
+};
+
+/** The scene's pinhole camera, shared by every generator of primary
+ *  rays. */
+class PinholeCamera
+{
+  public:
+    explicit PinholeCamera(const SceneGeometry &g);
+
+    /** Image-plane half height: the plane spans [-h, h] vertically. */
+    float halfHeight() const { return halfHeight_; }
+
+    /** The primary ray through image-plane point (@p sx, @p sy). */
+    RtRay ray(float sx, float sy) const;
+
+  private:
+    geom::Vec3 origin_;
+    geom::Vec3 forward_;
+    geom::Vec3 right_;
+    geom::Vec3 up_;
+    float halfHeight_;
+};
+
+/**
+ * Buffers of a ray launch. The spec reads lane i's ray from the host
+ * array `rays`, and finishRay writes an 8-byte record at resultBase + 8i:
+ * the closest t (-1 for a miss), then the hit primitive. Traversal order
+ * may tie on equal-t hits, so the check compares t within a relative
+ * epsilon and a launch passes with up to tolerance(n) mismatches.
+ */
+struct RayLanes
+{
+    std::vector<RtRay> rays;
+    uint64_t resultBase = 0;
+
+    /** Size the ray array and allocate the result buffer for @p n
+     *  lanes. */
+    static RayLanes alloc(mem::GlobalMemory &gmem, size_t n);
+
+    /** Stage lane @p i's ray, and pre-fill its result as a miss. */
+    void
+    stage(mem::GlobalMemory &gmem, size_t i, const RtRay &r)
+    {
+        rays[i] = r;
+        gmem.write<float>(resultBase + 8 * i, -1.0f);
+        gmem.write<uint32_t>(resultBase + 8 * i + 4, UINT32_MAX);
+    }
+
+    /** Lanes among [0, @p n) whose result disagrees with the reference
+     *  hit @p expected(i): a hit where it misses or the reverse, or a
+     *  closest-hit t off by more than 1e-3 * max(1, t). */
+    template <class Expected>
+    size_t
+    mismatches(const mem::GlobalMemory &gmem, size_t n,
+               Expected &&expected) const
+    {
+        size_t bad = 0;
+        for (size_t i = 0; i < n; ++i) {
+            float t = gmem.read<float>(resultBase + 8 * i);
+            bool hit = t >= 0.0f;
+            const RtHit &ref = expected(i);
+            if (hit != ref.hit)
+                ++bad;
+            else if (hit && !rays[i].anyHit &&
+                     std::fabs(t - ref.t) > 1e-3f * std::max(1.0f, ref.t))
+                ++bad;
+        }
+        return bad;
+    }
+
+    /** Mismatches a launch of @p n lanes may have and still pass. */
+    static size_t tolerance(size_t n) { return n / 256 + 2; }
 };
 
 /** Accelerator-side spec: full RT traversal with two-level support. */
 class RtSpec : public rta::TraversalSpec
 {
   public:
+    /** @param image where @p scene sits in @p gmem (RtScene::serialize).
+     *  @param rays  lane i traces rays[i]. */
     RtSpec(mem::GlobalMemory &gmem, const RtScene &scene,
-           const std::vector<RtRay> &rays, uint64_t result_base,
-           RtOptions options);
+           RtSceneImage image, const std::vector<RtRay> &rays,
+           uint64_t result_base, RtOptions options);
 
     void initRay(rta::RayState &ray, uint32_t lane_operand) override;
     void fetchLines(const rta::RayState &ray, rta::NodeRef ref,
@@ -143,6 +217,7 @@ class RtSpec : public rta::TraversalSpec
 
     mem::GlobalMemory *gmem_;
     const RtScene *scene_;
+    RtSceneImage image_;
     const std::vector<RtRay> *rays_;
     uint64_t resultBase_;
     RtOptions options_;
@@ -181,6 +256,11 @@ class RayTracingWorkload
     static api::TtaPipeline makePipeline(SceneKind kind,
                                          const RtOptions &options);
     static gpu::KernelProgram buildBaselineKernel();
+
+    /** @p n closest-hit rays through uniformly jittered points of the
+     *  scene camera's square image-plane window, drawn from @p seed. */
+    static std::vector<RtRay> randomPrimaryRays(const RtScene &scene,
+                                                size_t n, uint64_t seed);
 
   private:
     std::vector<RtRay> primaryRays() const;

@@ -218,68 +218,63 @@ RtnnSpec::finishRay(rta::RayState &ray)
     gmem_->write<uint32_t>(resultBase_ + 4ull * ray.queryId, ray.hitCount);
 }
 
-RtnnWorkload::RtnnWorkload(size_t n_points, size_t n_queries, float radius,
-                           uint64_t seed)
-    : radius_(radius)
+RadiusInputs::RadiusInputs(size_t n_points, size_t n_queries,
+                           float radius, uint64_t seed)
+    : cloud(trees::PointCloud::generateLidarLike(n_points, seed)),
+      index(std::make_unique<trees::RadiusSearchIndex>(cloud, radius))
 {
-    cloud_ = trees::PointCloud::generateLidarLike(n_points, seed);
-    index_ = std::make_unique<trees::RadiusSearchIndex>(cloud_, radius);
-
     sim::Rng rng(seed ^ 0x9e3779b9ull);
-    queries_.reserve(n_queries);
+    pool.reserve(n_queries);
     for (size_t q = 0; q < n_queries; ++q) {
         if (rng.nextFloat() < 0.7f) {
             // Jittered cloud point: dense-region queries.
             const geom::Vec3 &p =
-                cloud_.points[rng.nextBounded(cloud_.points.size())];
-            queries_.push_back({p.x + 0.3f * rng.gaussian(),
-                                p.y + 0.3f * rng.gaussian(),
-                                p.z + 0.1f * rng.gaussian()});
+                cloud.points[rng.nextBounded(cloud.points.size())];
+            pool.push_back({p.x + 0.3f * rng.gaussian(),
+                            p.y + 0.3f * rng.gaussian(),
+                            p.z + 0.1f * rng.gaussian()});
         } else {
-            queries_.push_back({rng.uniform(-80.0f, 80.0f),
-                                rng.uniform(-80.0f, 80.0f),
-                                rng.uniform(0.0f, 6.0f)});
+            pool.push_back({rng.uniform(-80.0f, 80.0f),
+                            rng.uniform(-80.0f, 80.0f),
+                            rng.uniform(0.0f, 6.0f)});
         }
     }
-    expected_.reserve(n_queries);
-    for (const auto &q : queries_)
-        expected_.push_back(
-            static_cast<uint32_t>(index_->query(q).size()));
+    expected.reserve(n_queries);
+    for (const auto &q : pool)
+        expected.push_back(static_cast<uint32_t>(index->query(q).size()));
 }
 
-RtnnWorkload::RtnnWorkload(const RtnnWorkload &other)
-    : cloud_(other.cloud_),
-      index_(std::make_unique<trees::RadiusSearchIndex>(*other.index_,
-                                                        cloud_)),
-      radius_(other.radius_), queries_(other.queries_),
-      expected_(other.expected_), sbvh_(other.sbvh_),
-      pointBase_(other.pointBase_), queryBase_(other.queryBase_),
-      resultBase_(other.resultBase_), stackBase_(other.stackBase_)
-{}
+RadiusLanes
+RadiusLanes::alloc(mem::GlobalMemory &gmem, size_t n)
+{
+    RadiusLanes lanes;
+    lanes.queryBase = gmem.alloc(n * PointLayout::kPointBytes, 128);
+    lanes.resultBase = gmem.alloc(n * 4, 128);
+    return lanes;
+}
+
+RtnnWorkload::RtnnWorkload(size_t n_points, size_t n_queries, float radius,
+                           uint64_t seed)
+    : in_(n_points, n_queries, radius, seed)
+{
+}
 
 void
 RtnnWorkload::setup(mem::GlobalMemory &gmem, const sim::Config &cfg)
 {
     if (cfg.bvhNodeWidth > 2) {
         trees::WideBvh wide;
-        wide.build(index_->bvh(), cfg.bvhNodeWidth, cfg.bvhQuantized);
+        wide.build(in_.index->bvh(), cfg.bvhNodeWidth, cfg.bvhQuantized);
         sbvh_ = wide.serialize(gmem);
     } else {
-        sbvh_ = index_->bvh().serialize(gmem);
+        sbvh_ = in_.index->bvh().serialize(gmem);
     }
-    pointBase_ = cloud_.serialize(gmem);
-    queryBase_ =
-        gmem.alloc(queries_.size() * PointLayout::kPointBytes, 128);
-    resultBase_ = gmem.alloc(queries_.size() * 4, 128);
-    size_t warps = (queries_.size() + 31) / 32;
+    pointBase_ = in_.cloud.serialize(gmem);
+    lanes_ = RadiusLanes::alloc(gmem, numQueries());
+    size_t warps = (numQueries() + 31) / 32;
     stackBase_ = gmem.alloc(warps * kStackBytesPerWarp, 128);
-    for (size_t q = 0; q < queries_.size(); ++q) {
-        uint64_t addr = queryBase_ + q * PointLayout::kPointBytes;
-        gmem.write<float>(addr + 0, queries_[q].x);
-        gmem.write<float>(addr + 4, queries_[q].y);
-        gmem.write<float>(addr + 8, queries_[q].z);
-        gmem.write<uint32_t>(resultBase_ + 4 * q, 0xdeadbeef);
-    }
+    for (size_t q = 0; q < numQueries(); ++q)
+        lanes_.stage(gmem, q, in_.pool[q]);
 }
 
 gpu::KernelProgram
@@ -413,17 +408,17 @@ RtnnWorkload::runBaseline(const sim::Config &cfg, sim::StatRegistry &stats)
     gpu::Gpu device(cfg, stats);
     setup(device.memory(), cfg);
     gpu::KernelProgram kernel = buildBaselineKernel();
-    float r2 = radius_ * radius_;
+    float r2 = in_.index->radius() * in_.index->radius();
     uint32_t r2_bits;
     std::memcpy(&r2_bits, &r2, sizeof(r2_bits));
-    std::vector<uint32_t> params = {static_cast<uint32_t>(queryBase_),
-                                    sbvh_.root.raw,
-                                    r2_bits,
-                                    static_cast<uint32_t>(stackBase_),
-                                    static_cast<uint32_t>(pointBase_),
-                                    static_cast<uint32_t>(resultBase_)};
-    sim::Cycle cycles =
-        device.runKernel(kernel, queries_.size(), params);
+    std::vector<uint32_t> params = {
+        static_cast<uint32_t>(lanes_.queryBase),
+        sbvh_.root.raw,
+        r2_bits,
+        static_cast<uint32_t>(stackBase_),
+        static_cast<uint32_t>(pointBase_),
+        static_cast<uint32_t>(lanes_.resultBase)};
+    sim::Cycle cycles = device.runKernel(kernel, numQueries(), params);
     size_t bad = verify(device.memory());
     panic_if(bad != 0, "baseline RTNN kernel produced %zu mismatches",
              bad);
@@ -436,11 +431,11 @@ RtnnWorkload::runAccelerated(const sim::Config &cfg,
 {
     api::TtaDevice device(cfg, stats);
     setup(device.memory(), cfg);
-    RtnnSpec spec(device.memory(), sbvh_, pointBase_, queryBase_,
-                  resultBase_, radius_, offload_leaf);
+    RtnnSpec spec(device.memory(), sbvh_, pointBase_, lanes_.queryBase,
+                  lanes_.resultBase, in_.index->radius(), offload_leaf);
     api::TtaPipeline pipeline = makePipeline(offload_leaf);
     device.bindPipeline(pipeline, &spec);
-    sim::Cycle cycles = device.cmdTraverseTree(queries_.size());
+    sim::Cycle cycles = device.cmdTraverseTree(numQueries());
     size_t bad = verify(device.memory());
     panic_if(bad != 0, "accelerated RTNN run produced %zu mismatches",
              bad);
@@ -451,12 +446,8 @@ RtnnWorkload::runAccelerated(const sim::Config &cfg,
 size_t
 RtnnWorkload::verify(const mem::GlobalMemory &gmem) const
 {
-    size_t mismatches = 0;
-    for (size_t q = 0; q < queries_.size(); ++q) {
-        if (gmem.read<uint32_t>(resultBase_ + 4 * q) != expected_[q])
-            ++mismatches;
-    }
-    return mismatches;
+    return lanes_.mismatches(gmem, numQueries(),
+                             [this](size_t q) { return in_.expected[q]; });
 }
 
 } // namespace tta::workloads

@@ -16,6 +16,10 @@
  *  - *RTNN (offloaded): the leaf check executes natively — the repurposed
  *    Ray-Triangle unit's Point-to-Point path on TTA, the Table III
  *    5-uop program on TTA+.
+ *
+ * The figure workload and the service's radius tenant share the kind's
+ * RadiusInputs (cloud, index, seeded queries, reference counts) and
+ * RadiusLanes (query/result buffers, lane staging, the count check).
  */
 
 #ifndef TTA_WORKLOADS_RTNN_WORKLOAD_HH
@@ -79,6 +83,66 @@ class RtnnSpec : public rta::TraversalSpec
     ttaplus::Program leafProg_;
 };
 
+/**
+ * Inputs of radius search: a LiDAR-like cloud, its radius index, a pool
+ * of seeded query points (mostly jittered cloud points, the rest uniform
+ * over the scene volume), and each query's host reference neighbor
+ * count. A figure run launches the whole pool once; a tenant's arrival
+ * k carries pool entry k % pool.size(). Built in place and never copied
+ * or moved: the index points at `cloud`.
+ */
+struct RadiusInputs
+{
+    RadiusInputs(size_t n_points, size_t n_queries, float radius,
+                 uint64_t seed);
+    RadiusInputs(const RadiusInputs &) = delete;
+    RadiusInputs &operator=(const RadiusInputs &) = delete;
+
+    trees::PointCloud cloud;
+    std::unique_ptr<trees::RadiusSearchIndex> index;
+    std::vector<geom::Vec3> pool;
+    std::vector<uint32_t> expected;
+};
+
+/**
+ * Query and result buffers of a radius-search launch: lane i reads a
+ * 16-byte PointLayout record at queryBase + 16i and writes a 4-byte
+ * neighbor count at resultBase + 4i.
+ */
+struct RadiusLanes
+{
+    uint64_t queryBase = 0;
+    uint64_t resultBase = 0;
+
+    /** Allocate the query buffer, then the result buffer, for @p n
+     *  lanes. */
+    static RadiusLanes alloc(mem::GlobalMemory &gmem, size_t n);
+
+    /** Write lane @p i's point, and pre-fill its result with a value no
+     *  launch writes, so a lane left unwritten reads as a mismatch. */
+    void
+    stage(mem::GlobalMemory &gmem, size_t i, const geom::Vec3 &q) const
+    {
+        uint64_t addr = queryBase + i * trees::PointLayout::kPointBytes;
+        gmem.write<float>(addr + 0, q.x);
+        gmem.write<float>(addr + 4, q.y);
+        gmem.write<float>(addr + 8, q.z);
+        gmem.write<uint32_t>(resultBase + 4 * i, 0xdeadbeefu);
+    }
+
+    /** Lanes among [0, @p n) whose count is not @p expected(i). */
+    template <class Expected>
+    size_t
+    mismatches(const mem::GlobalMemory &gmem, size_t n,
+               Expected &&expected) const
+    {
+        size_t bad = 0;
+        for (size_t i = 0; i < n; ++i)
+            bad += gmem.read<uint32_t>(resultBase + 4 * i) != expected(i);
+        return bad;
+    }
+};
+
 class RtnnWorkload
 {
   public:
@@ -90,19 +154,10 @@ class RtnnWorkload
     RtnnWorkload(size_t n_points, size_t n_queries, float radius = 1.0f,
                  uint64_t seed = 1);
 
-    /**
-     * Deep copy: clones the cloud and rebinds the copied index's cloud
-     * pointer to this object's own cloud (the index would otherwise
-     * dangle into the source). Runs on a copy are bit-identical to
-     * runs on a freshly built workload.
-     */
-    RtnnWorkload(const RtnnWorkload &other);
-    RtnnWorkload &operator=(const RtnnWorkload &) = delete;
-
     /** Serialize with the node layout selected by `cfg` (binary 64B
-     *  nodes by default; wide SoA when cfg.bvhNodeWidth > 2). */
+     *  nodes by default; wide SoA when cfg.bvhNodeWidth > 2) and stage
+     *  every query. */
     void setup(mem::GlobalMemory &gmem, const sim::Config &cfg);
-    void setup(mem::GlobalMemory &gmem) { setup(gmem, sim::Config{}); }
 
     /** Divergent per-thread CUDA kernel on the SIMT cores. */
     RunMetrics runBaseline(const sim::Config &cfg,
@@ -115,8 +170,8 @@ class RtnnWorkload
     RunMetrics runAccelerated(const sim::Config &cfg,
                               sim::StatRegistry &stats, bool offload_leaf);
 
-    size_t numQueries() const { return queries_.size(); }
-    const trees::RadiusSearchIndex &index() const { return *index_; }
+    size_t numQueries() const { return in_.pool.size(); }
+    const trees::RadiusSearchIndex &index() const { return *in_.index; }
 
     static api::TtaPipeline makePipeline(bool offload_leaf);
     static gpu::KernelProgram buildBaselineKernel();
@@ -124,16 +179,11 @@ class RtnnWorkload
   private:
     size_t verify(const mem::GlobalMemory &gmem) const;
 
-    trees::PointCloud cloud_;
-    std::unique_ptr<trees::RadiusSearchIndex> index_;
-    float radius_;
-    std::vector<geom::Vec3> queries_;
-    std::vector<uint32_t> expected_;
+    RadiusInputs in_;
 
     trees::SerializedBvh sbvh_;
     uint64_t pointBase_ = 0;
-    uint64_t queryBase_ = 0;
-    uint64_t resultBase_ = 0;
+    RadiusLanes lanes_;
     uint64_t stackBase_ = 0;
 };
 

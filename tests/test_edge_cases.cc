@@ -2,7 +2,8 @@
  * @file
  * Edge-case and back-pressure tests that don't fit the per-module
  * suites: queue limits, stack nesting depth, partition properties,
- * serialized-layout details, and a walk over a corrupt B-Tree image.
+ * serialized-layout details, and host and device walks over a corrupt
+ * B-Tree image.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <bit>
 #include <string>
 
+#include "api/tta_api.hh"
 #include "gpu/simt_stack.hh"
 #include "mem/coalescer.hh"
 #include "mem/memsys.hh"
@@ -17,6 +19,7 @@
 #include "sim/rng.hh"
 #include "trees/btree.hh"
 #include "trees/octree.hh"
+#include "workloads/btree_workload.hh"
 
 using namespace tta;
 
@@ -123,6 +126,36 @@ TEST(BTreeEdge, ZeroedImageWalkIsFatal)
     } catch (const sim::FatalError &e) {
         const std::string msg = e.what();
         EXPECT_NE(msg.find("corrupt or cyclic image"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("at node 0x0"), std::string::npos) << msg;
+    }
+}
+
+// The RTA's BTreeSpec follows the same child pointers as the host walk,
+// so the zeroed record is a named fatal on the device too, long before
+// the (lowered) watchdog would end the launch: its children start at
+// address 0, which reads as another zeroed record.
+TEST(BTreeEdge, ZeroedImageDeviceWalkIsFatal)
+{
+    sim::Config cfg;
+    cfg.accelMode = sim::AccelMode::Tta;
+    cfg.watchdogCycles = 200000;
+    sim::StatRegistry stats;
+    api::TtaDevice device(cfg, stats);
+    mem::GlobalMemory &gmem = device.memory();
+    uint64_t root = gmem.alloc(trees::BTreeNodeLayout::kNodeBytes);
+    auto lanes = workloads::BTreeLanes::alloc(gmem, 1);
+    lanes.stage(gmem, 0, 1.0f);
+    workloads::BTreeSpec spec(gmem, root, lanes.queryBase,
+                              lanes.resultBase);
+    api::TtaPipeline pipeline = workloads::BTreeWorkload::makePipeline();
+    device.bindPipeline(pipeline, &spec);
+    try {
+        device.cmdTraverseTree(1);
+        FAIL() << "the device walk over a zeroed image returned";
+    } catch (const sim::FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("deeper than 64 levels"), std::string::npos)
             << msg;
         EXPECT_NE(msg.find("at node 0x0"), std::string::npos) << msg;
     }

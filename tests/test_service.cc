@@ -18,10 +18,10 @@
  *    dispatch, max-wait flush, cancels, drain, the no-starvation
  *    bound for a sparse tenant behind a saturating one, and the
  *    tighter latency-sensitive SLO-class deadline,
- *  - the bench workload cache (bench_common.hh): serving a deep copy
- *    of a built workload is bit-identical to building it fresh (which
- *    is what lets the figure benches reuse one host tree per row),
- *    hit/lookup counters, and getShared prototype sharing,
+ *  - the ray tenant beside a B-Tree tenant on two devices, and two ray
+ *    tenants sharing one scene on the same devices,
+ *  - the bench workload cache (bench_common.hh): getShared prototype
+ *    sharing and its hit/lookup counters,
  *  - strict numeric bench flags (bench_common.hh's FlagSet): malformed
  *    values exit 64 naming the flag and the value.
  *
@@ -236,6 +236,57 @@ TEST(ServiceVerify, MismatchesPastToleranceAreFatal)
                 << "pipelined=" << pipelined << ": " << msg;
         }
     }
+}
+
+// A ray tenant serves beside a B-Tree tenant on two devices. A second
+// ray tenant made from the same RayTenantData shares its one scene, so
+// each device holds that scene twice, at different addresses, and the
+// batches of both ray tenants must still verify (a batch past its
+// tolerance is fatal, so run() returning is the check).
+TEST(ServiceRays, TenantsShareOneSceneAcrossDevices)
+{
+    ServicePolicy policy;
+    policy.maxBatch = 32;
+    policy.maxWaitCycles = 20000;
+    policy.numDevices = 2;
+    sim::StatRegistry stats;
+    TraversalService svc(serviceConfig(), stats, policy);
+    auto rays = RayTenantData::build(workloads::SceneKind::CornellPt, 256,
+                                     kSmallSeed);
+    svc.addTenant(std::make_unique<BTreeTenant>("btree", 400, 128,
+                                                kSmallSeed));
+    // Device memory each ray tenant's install took, per device.
+    std::vector<uint64_t> footprint[2];
+    for (int r = 0; r < 2; ++r) {
+        std::vector<uint64_t> before;
+        for (uint32_t d = 0; d < svc.numDevices(); ++d)
+            before.push_back(svc.device(d).memory().allocTop());
+        svc.addTenant(
+            std::make_unique<RayTenant>("rays" + std::to_string(r), rays));
+        for (uint32_t d = 0; d < svc.numDevices(); ++d)
+            footprint[r].push_back(svc.device(d).memory().allocTop() -
+                                   before[d]);
+    }
+    for (uint32_t d = 0; d < svc.numDevices(); ++d) {
+        EXPECT_GT(footprint[0][d], 0u) << "device " << d;
+        EXPECT_EQ(footprint[1][d], footprint[0][d]) << "device " << d;
+    }
+
+    TrafficConfig tc;
+    tc.process = ArrivalProcess::Poisson;
+    tc.totalQueries = 600;
+    tc.meanGapCycles = 40.0;
+    tc.tenantWeights = {0.5, 0.25, 0.25};
+    TrafficGen gen(tc, svc.numTenants(), kSmallSeed ^ 0x5eedull);
+    ServiceReport rep = svc.run(gen);
+
+    EXPECT_EQ(rep.completed, rep.submitted);
+    for (const TenantReport &t : rep.tenants) {
+        EXPECT_GT(t.completed, 0u) << t.name;
+        EXPECT_EQ(t.completed, t.submitted) << t.name;
+    }
+    for (uint32_t d = 0; d < svc.numDevices(); ++d)
+        EXPECT_GT(rep.devices[d].batches, 0u) << "device " << d;
 }
 
 // ---------------------------------------------------------------------
@@ -590,68 +641,13 @@ TEST(ServiceTrace, LatencyClassFlushesOnTighterDeadline)
 }
 
 // ---------------------------------------------------------------------
-// Workload cache: a served deep copy == a fresh build, bit for bit.
+// Workload cache: one shared prototype per key.
 // ---------------------------------------------------------------------
-
-TEST(WorkloadCacheIdentity, BTree)
-{
-    bench::WorkloadCache cache(true);
-    auto build = [] {
-        return workloads::BTreeWorkload(trees::BTreeKind::BPlusTree,
-                                        1000, 128, 21);
-    };
-
-    sim::StatRegistry freshStats;
-    workloads::BTreeWorkload fresh = build();
-    workloads::RunMetrics freshRun =
-        fresh.runAccelerated(serviceConfig(), freshStats);
-
-    // Two cache pulls: both are copies of the same cached prototype.
-    for (int pull = 0; pull < 2; ++pull) {
-        sim::StatRegistry stats;
-        workloads::BTreeWorkload copy =
-            cache.get<workloads::BTreeWorkload>("bt", build);
-        workloads::RunMetrics run = copy.runAccelerated(serviceConfig(), stats);
-        EXPECT_EQ(run.cycles, freshRun.cycles) << "pull " << pull;
-        EXPECT_EQ(stats.dumpString(), freshStats.dumpString())
-            << "pull " << pull;
-    }
-}
-
-TEST(WorkloadCacheIdentity, Rtnn)
-{
-    bench::WorkloadCache cache(true);
-    auto build = [] {
-        return workloads::RtnnWorkload(800, 64, 1.0f, 22);
-    };
-
-    sim::StatRegistry freshStats;
-    workloads::RtnnWorkload fresh = build();
-    workloads::RunMetrics freshRun =
-        fresh.runAccelerated(serviceConfig(), freshStats, true);
-
-    sim::StatRegistry stats;
-    workloads::RtnnWorkload copy =
-        cache.get<workloads::RtnnWorkload>("rtnn", build);
-    workloads::RunMetrics run = copy.runAccelerated(serviceConfig(), stats, true);
-    EXPECT_EQ(run.cycles, freshRun.cycles);
-    EXPECT_EQ(stats.dumpString(), freshStats.dumpString());
-}
 
 TEST(WorkloadCacheIdentity, HitCounterAndSharedPrototypes)
 {
-    bench::WorkloadCache cache(true);
-    auto build = [] {
-        return workloads::BTreeWorkload(trees::BTreeKind::BTree, 300,
-                                        32, 31);
-    };
+    bench::WorkloadCache cache;
     EXPECT_EQ(cache.lookups(), 0u);
-    cache.get<workloads::BTreeWorkload>("a", build);
-    EXPECT_EQ(cache.lookups(), 1u);
-    EXPECT_EQ(cache.hits(), 0u);
-    cache.get<workloads::BTreeWorkload>("a", build);
-    EXPECT_EQ(cache.lookups(), 2u);
-    EXPECT_EQ(cache.hits(), 1u);
 
     // getShared hands every caller the same immutable prototype — the
     // path service tenants use to share one tree across tenants and
@@ -662,41 +658,13 @@ TEST(WorkloadCacheIdentity, HitCounterAndSharedPrototypes)
         return BTreeTenantData::build(200, 64, 32);
     };
     auto p1 = cache.getShared<BTreeTenantData>("svc", buildShared);
+    EXPECT_EQ(cache.lookups(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
     auto p2 = cache.getShared<BTreeTenantData>("svc", buildShared);
     EXPECT_EQ(builds, 1);
     EXPECT_EQ(p1.get(), p2.get());
-    EXPECT_EQ(cache.lookups(), 4u);
-    EXPECT_EQ(cache.hits(), 2u);
-
-    // A disabled cache counts lookups but never hits.
-    bench::WorkloadCache off(false);
-    off.getShared<BTreeTenantData>("svc", buildShared);
-    off.getShared<BTreeTenantData>("svc", buildShared);
-    EXPECT_EQ(builds, 3);
-    EXPECT_EQ(off.lookups(), 2u);
-    EXPECT_EQ(off.hits(), 0u);
-}
-
-TEST(WorkloadCacheIdentity, DisabledCacheRebuilds)
-{
-    // With caching off (the --rebuild-device path) every get() runs the
-    // builder; results are still identical because builds are seeded.
-    bench::WorkloadCache cache(false);
-    int builds = 0;
-    auto build = [&builds] {
-        ++builds;
-        return workloads::BTreeWorkload(trees::BTreeKind::BTree, 500, 64,
-                                        23);
-    };
-    cache.get<workloads::BTreeWorkload>("k", build);
-    cache.get<workloads::BTreeWorkload>("k", build);
-    EXPECT_EQ(builds, 2);
-
-    bench::WorkloadCache cached(true);
-    builds = 0;
-    cached.get<workloads::BTreeWorkload>("k", build);
-    cached.get<workloads::BTreeWorkload>("k", build);
-    EXPECT_EQ(builds, 1);
+    EXPECT_EQ(cache.lookups(), 2u);
+    EXPECT_EQ(cache.hits(), 1u);
 }
 
 namespace {
@@ -728,15 +696,12 @@ parseBenchFlags(std::vector<std::string> flags)
 TEST(BenchFlags, WellFormedNumbersParse)
 {
     ParsedFlags p = parseBenchFlags({"--queries=42", "--keys", "7",
-                                     "--gain=1.25", "--rebuild-device",
+                                     "--gain=1.25",
                                      "--seed=18446744073709551615"});
     EXPECT_EQ(p.args.queries, 42u);
     EXPECT_EQ(p.args.keys, 7u);
     EXPECT_EQ(p.gain, 1.25);
-    EXPECT_EQ(p.args.rebuildDevice, 1u);
     EXPECT_EQ(p.args.seed, UINT64_MAX);
-    EXPECT_EQ(parseBenchFlags({"--rebuild-device=0"}).args.rebuildDevice,
-              0u);
 }
 
 TEST(BenchFlagsDeathTest, MalformedNumbersExitUsage)
@@ -760,8 +725,6 @@ TEST(BenchFlagsDeathTest, MalformedNumbersExitUsage)
         {"--gain=", "--gain: ''"},
         {"--gain=1e999", "--gain: '1e999'"},
         {"--gain=nan", "--gain: 'nan'"},
-        {"--rebuild-device=yes", "--rebuild-device: 'yes'"},
-        {"--rebuild-device=", "--rebuild-device: ''"},
     };
     for (const auto &c : cases) {
         EXPECT_EXIT(parseBenchFlags({c.flag}),
